@@ -27,35 +27,45 @@ fn main() {
     }
 
     println!("\n== items-ranked curve with calibrated sigmas ==");
-    for items in [256u64, 512, 1024, 2048, 3200, 4096] {
-        for kind in [ModelKind::RmSmall, ModelKind::RmMed, ModelKind::RmLarge] {
-            let p = PipelineConfig::single_stage(kind, items, 64).unwrap();
-            let q = QualityEvaluator::criteo_like(64)
-                .queries(queries)
-                .evaluate(&p);
+    let kinds = [ModelKind::RmSmall, ModelKind::RmMed, ModelKind::RmLarge];
+    let items_grid = [256u64, 512, 1024, 2048, 3200, 4096];
+    let pipelines: Vec<PipelineConfig> = items_grid
+        .iter()
+        .flat_map(|&items| kinds.map(|kind| PipelineConfig::single_stage(kind, items, 64).unwrap()))
+        .collect();
+    let reports = QualityEvaluator::criteo_like(64)
+        .queries(queries)
+        .evaluate_many(&pipelines);
+    for (items, row) in items_grid.iter().zip(reports.chunks(kinds.len())) {
+        for (kind, q) in kinds.iter().zip(row) {
             print!("{kind}@{items}: {:.2}  ", q.ndcg_percent());
         }
         println!();
     }
 
     println!("\n== two-stage configurations (rho sweep) ==");
+    let two_stage: Vec<PipelineConfig> = [
+        (ModelKind::RmSmall, 64),
+        (ModelKind::RmSmall, 128),
+        (ModelKind::RmSmall, 256),
+        (ModelKind::RmSmall, 512),
+        (ModelKind::RmMed, 256),
+    ]
+    .into_iter()
+    .map(|(front, mid)| {
+        PipelineConfig::builder()
+            .stage(StageConfig::new(front, 4096, mid))
+            .stage(StageConfig::new(ModelKind::RmLarge, mid, 64))
+            .build()
+            .unwrap()
+    })
+    .collect();
     for rho in [0.8, 0.9, 0.95] {
-        for (front, mid) in [
-            (ModelKind::RmSmall, 64),
-            (ModelKind::RmSmall, 128),
-            (ModelKind::RmSmall, 256),
-            (ModelKind::RmSmall, 512),
-            (ModelKind::RmMed, 256),
-        ] {
-            let p = PipelineConfig::builder()
-                .stage(StageConfig::new(front, 4096, mid))
-                .stage(StageConfig::new(ModelKind::RmLarge, mid, 64))
-                .build()
-                .unwrap();
-            let q = QualityEvaluator::criteo_like(64)
-                .queries(queries)
-                .noise_correlation(rho)
-                .evaluate(&p);
+        let reports = QualityEvaluator::criteo_like(64)
+            .queries(queries)
+            .noise_correlation(rho)
+            .evaluate_many(&two_stage);
+        for (p, q) in two_stage.iter().zip(&reports) {
             println!(
                 "rho={rho:.2} {} -> NDCG {:.2}",
                 p.describe(),

@@ -1,7 +1,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use recpipe_data::{DatasetKind, DatasetSpec, Normal, QueryGenerator};
-use recpipe_metrics::{ideal_sorted, ndcg_at_k, BinaryConfusion};
+use recpipe_metrics::{ideal_top_k, ndcg_at_k, BinaryConfusion};
 use recpipe_models::{AccuracyModel, ModelKind};
 use serde::{Deserialize, Serialize};
 
@@ -51,6 +51,29 @@ impl QualityReport {
 /// `sub_batches = n`, each stage selects `items_out / n` survivors from
 /// each chunk of its input, stitched together — quality can degrade if
 /// winners cluster in one chunk.
+///
+/// Two random streams drive an evaluation, and they are kept apart:
+///
+/// * the **query stream** (seed `seed + 1`) draws each query's pool of
+///   utilities. It is the same for every pipeline, so
+///   [`evaluate_many`](Self::evaluate_many) runs query-major: it draws
+///   each pool once, derives its gains and top-`k` ideal ordering once,
+///   and then pushes every pipeline's funnel through that query;
+/// * each pipeline's **noise stream** (its own generator seeded with
+///   `seed`) draws the scoring errors, consumed in funnel order: the
+///   shared per-item components, then each stage's fresh components.
+///
+/// Every pipeline therefore sees the same queries (common random
+/// numbers) and a private noise stream that no other pipeline touches.
+/// A pipeline's report depends only on the evaluator and the pipeline,
+/// never on which pipelines share a batch or in what order, so
+/// batching, grouping or parallelizing evaluations cannot change a
+/// result: [`evaluate`](Self::evaluate) is `evaluate_many` of one.
+///
+/// Stage filters select their survivors rather than sort the whole
+/// input: the top `items_out` by (score descending, input position
+/// ascending), which is exactly the order a stable descending sort
+/// would give.
 ///
 /// # Examples
 ///
@@ -146,11 +169,31 @@ impl QualityEvaluator {
 
     /// Measures the pipeline's quality.
     pub fn evaluate(&self, pipeline: &PipelineConfig) -> QualityReport {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut gen = QueryGenerator::new(&self.spec, self.seed.wrapping_add(1));
-        let noise = Normal::standard();
+        self.evaluate_many(std::slice::from_ref(pipeline))
+            .pop()
+            .expect("one report per pipeline")
+    }
 
-        let mut scores = Vec::with_capacity(self.num_queries);
+    /// Measures every pipeline's quality in one pass over the query
+    /// stream, returning the reports in input order. Each report is
+    /// bit-identical to [`evaluate`](Self::evaluate) of that pipeline
+    /// alone, whatever else is in the batch.
+    pub fn evaluate_many(&self, pipelines: &[PipelineConfig]) -> Vec<QualityReport> {
+        if pipelines.is_empty() {
+            return Vec::new();
+        }
+        let mut gen = QueryGenerator::new(&self.spec, self.seed.wrapping_add(1));
+        let mut rngs: Vec<StdRng> = pipelines
+            .iter()
+            .map(|_| StdRng::seed_from_u64(self.seed))
+            .collect();
+        let mut scores: Vec<Vec<f64>> = pipelines
+            .iter()
+            .map(|_| Vec::with_capacity(self.num_queries))
+            .collect();
+        let mut scratch = Scratch::default();
+        let mut served_gains = Vec::new();
+
         for _ in 0..self.num_queries {
             let query = gen.next_query();
             let utilities = &query.utilities;
@@ -161,51 +204,86 @@ impl QualityEvaluator {
                 .iter()
                 .map(|&u| u.powf(self.spec.gain_exponent))
                 .collect();
-            let ideal = ideal_sorted(&gains);
+            let ideal = ideal_top_k(&gains, self.top_k);
 
-            // The funnel: indices into the pool survive stage by stage.
-            let first_in = (pipeline.items_in() as usize).min(utilities.len());
-            let mut survivors: Vec<usize> = (0..first_in).collect();
-
-            // Persistent per-item error component shared by every stage
-            // (see `stage_noise_correlation`).
-            let shared: Vec<f64> = (0..first_in).map(|_| noise.sample(&mut rng)).collect();
-            let rho = self.stage_noise_correlation;
-            let fresh_scale = (1.0 - rho * rho).sqrt();
-
-            let num_stages = pipeline.num_stages();
-            for (stage_idx, stage) in pipeline.stages().iter().enumerate() {
-                let sigma = self.accuracy.sigma(stage.model);
-                let scored: Vec<(usize, f64)> = survivors
-                    .iter()
-                    .map(|&idx| {
-                        let eps = rho * shared[idx] + fresh_scale * noise.sample(&mut rng);
-                        (idx, utilities[idx] + sigma * eps)
-                    })
-                    .collect();
-                // Inter-stage filtering may stitch per-sub-batch top-k/n
-                // lists (unordered is fine; the next stage rescores), but
-                // the FINAL stage's output is the served ranking and is
-                // always globally ordered.
-                let last = stage_idx + 1 == num_stages;
-                survivors = if last {
-                    top_k_indices(&scored, stage.items_out as usize)
-                } else {
-                    select_top(&scored, stage.items_out as usize, self.sub_batches)
-                };
+            for ((pipeline, rng), scores) in pipelines.iter().zip(&mut rngs).zip(&mut scores) {
+                let served = self.run_funnel(pipeline, utilities, rng, &mut scratch);
+                served_gains.clear();
+                served_gains.extend(served.iter().map(|&idx| gains[idx]));
+                scores.push(ndcg_at_k(&served_gains, &ideal, self.top_k));
             }
-
-            let served: Vec<f64> = survivors.iter().map(|&idx| gains[idx]).collect();
-            scores.push(ndcg_at_k(&served, &ideal, self.top_k));
         }
 
-        let mean = scores.iter().sum::<f64>() / scores.len() as f64;
-        let var = scores.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / scores.len() as f64;
-        QualityReport {
-            ndcg: mean,
-            ndcg_std: var.sqrt(),
-            queries: scores.len(),
+        scores
+            .iter()
+            .map(|scores| {
+                let mean = scores.iter().sum::<f64>() / scores.len() as f64;
+                let var =
+                    scores.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / scores.len() as f64;
+                QualityReport {
+                    ndcg: mean,
+                    ndcg_std: var.sqrt(),
+                    queries: scores.len(),
+                }
+            })
+            .collect()
+    }
+
+    /// Pushes one query through `pipeline`'s funnel, drawing its scoring
+    /// noise from `rng`, and returns the served pool indices, best
+    /// first.
+    fn run_funnel<'s>(
+        &self,
+        pipeline: &PipelineConfig,
+        utilities: &[f64],
+        rng: &mut StdRng,
+        scratch: &'s mut Scratch,
+    ) -> &'s [usize] {
+        let Scratch {
+            shared,
+            scored,
+            picks,
+            survivors,
+            next,
+        } = scratch;
+        let noise = Normal::standard();
+
+        // The funnel: indices into the pool survive stage by stage.
+        let first_in = (pipeline.items_in() as usize).min(utilities.len());
+        survivors.clear();
+        survivors.extend(0..first_in);
+
+        // Persistent per-item error component shared by every stage
+        // (see `stage_noise_correlation`).
+        shared.clear();
+        shared.extend((0..first_in).map(|_| noise.sample(rng)));
+        let rho = self.stage_noise_correlation;
+        let fresh_scale = (1.0 - rho * rho).sqrt();
+
+        let num_stages = pipeline.num_stages();
+        for (stage_idx, stage) in pipeline.stages().iter().enumerate() {
+            let sigma = self.accuracy.sigma(stage.model);
+            scored.clear();
+            scored.extend(survivors.iter().enumerate().map(|(pos, &idx)| {
+                let eps = rho * shared[idx] + fresh_scale * noise.sample(rng);
+                rank_key(utilities[idx] + sigma * eps, pos)
+            }));
+            // Inter-stage filtering may stitch per-sub-batch top-k/n
+            // lists (unordered is fine; the next stage rescores), but
+            // the FINAL stage's output is the served ranking and is
+            // always globally ordered.
+            let last = stage_idx + 1 == num_stages;
+            picks.clear();
+            if last {
+                top_k_indices(scored, stage.items_out as usize, picks);
+            } else {
+                select_top(scored, stage.items_out as usize, self.sub_batches, picks);
+            }
+            next.clear();
+            next.extend(picks.iter().map(|&pos| survivors[pos]));
+            std::mem::swap(survivors, next);
         }
+        survivors
     }
 
     /// Measures a single model tier's pointwise CTR accuracy (the metric
@@ -234,29 +312,68 @@ impl QualityEvaluator {
     }
 }
 
-/// Selects the indices of the top `k` scored items, optionally stitching
-/// `sub_batches` per-chunk top-(k/n) selections (the accelerator's
-/// sub-batched filtering).
-fn select_top(scored: &[(usize, f64)], k: usize, sub_batches: usize) -> Vec<usize> {
+/// Reusable buffers for [`QualityEvaluator::evaluate_many`]: sized by
+/// the first query, then recycled across pipelines and queries.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Per-item shared error component, indexed by pool position.
+    shared: Vec<f64>,
+    /// [`rank_key`]s of the items a stage scores.
+    scored: Vec<u128>,
+    /// Input positions a stage keeps.
+    picks: Vec<usize>,
+    /// Pool indices alive after the latest stage.
+    survivors: Vec<usize>,
+    /// The next stage's survivors, before they swap in.
+    next: Vec<usize>,
+}
+
+/// Appends the input positions of the top `k` scored items, optionally
+/// stitching `sub_batches` per-chunk top-(k/n) selections (the
+/// accelerator's sub-batched filtering). Reorders `scored` in place.
+fn select_top(scored: &mut [u128], k: usize, sub_batches: usize, out: &mut Vec<usize>) {
     if sub_batches <= 1 || scored.len() <= sub_batches {
-        return top_k_indices(scored, k);
+        return top_k_indices(scored, k, out);
     }
     let chunk_len = scored.len().div_ceil(sub_batches);
     let per_chunk = (k / sub_batches).max(1);
-    let mut out = Vec::with_capacity(k);
-    for chunk in scored.chunks(chunk_len) {
-        out.extend(top_k_indices(chunk, per_chunk));
+    let start = out.len();
+    for chunk in scored.chunks_mut(chunk_len) {
+        top_k_indices(chunk, per_chunk, out);
     }
-    out.truncate(k.max(1));
-    out
+    out.truncate(start + k.max(1));
 }
 
-/// Indices of the top `k` items by score, best first.
-fn top_k_indices(scored: &[(usize, f64)], k: usize) -> Vec<usize> {
-    let mut sorted: Vec<(usize, f64)> = scored.to_vec();
-    sorted.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    sorted.truncate(k.max(1));
-    sorted.into_iter().map(|(idx, _)| idx).collect()
+/// Packs a stage's score for the item at input position `pos` into one
+/// integer whose ascending order is (score descending, position
+/// ascending) — the order a stable descending sort of the scores gives.
+/// Scores are never NaN; `-0.0` ranks equal to `0.0`, as it compares.
+fn rank_key(score: f64, pos: usize) -> u128 {
+    // `+ 0.0` turns -0.0 into 0.0. Flipping a negative's bits, or a
+    // positive's sign bit, orders IEEE-754 doubles as unsigned integers.
+    let bits = (score + 0.0).to_bits();
+    let ascending = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    (u128::from(!ascending) << 64) | pos as u128
+}
+
+/// Appends the input positions of the top `k` (at least one) entries of
+/// `scored` ([`rank_key`]s), best first, by selecting the top `k` and
+/// sorting only them. Reorders `scored` in place.
+fn top_k_indices(scored: &mut [u128], k: usize, out: &mut Vec<usize>) {
+    let k = k.max(1).min(scored.len());
+    if k == 0 {
+        return;
+    }
+    if k < scored.len() {
+        scored.select_nth_unstable(k - 1);
+    }
+    let top = &mut scored[..k];
+    top.sort_unstable();
+    out.extend(top.iter().map(|&key| key as u64 as usize));
 }
 
 #[cfg(test)]
@@ -390,6 +507,126 @@ mod tests {
                 chunked > whole - 0.012 && chunked < whole + 0.004,
                 "n={n}: whole {whole} vs chunked {chunked}"
             );
+        }
+    }
+
+    /// The pre-selection ranking: a stable descending sort of the
+    /// scores, truncated to `k` (at least one).
+    fn sorted_reference(scores: &[f64], k: usize) -> Vec<usize> {
+        let mut ranked: Vec<(usize, f64)> = scores.iter().copied().enumerate().collect();
+        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        ranked.truncate(k.max(1));
+        ranked.into_iter().map(|(pos, _)| pos).collect()
+    }
+
+    /// The pre-selection stitching: each chunk's sorted top-(k/n),
+    /// concatenated in chunk order and truncated to `k`.
+    fn stitched_reference(scores: &[f64], k: usize, n: usize) -> Vec<usize> {
+        if n <= 1 || scores.len() <= n {
+            return sorted_reference(scores, k);
+        }
+        let chunk_len = scores.len().div_ceil(n);
+        let per_chunk = (k / n).max(1);
+        let mut out: Vec<usize> = scores
+            .chunks(chunk_len)
+            .enumerate()
+            .flat_map(|(c, chunk)| {
+                sorted_reference(chunk, per_chunk)
+                    .into_iter()
+                    .map(move |pos| c * chunk_len + pos)
+            })
+            .collect();
+        out.truncate(k.max(1));
+        out
+    }
+
+    /// Seeded scores; `levels` > 0 draws from that many values so ties
+    /// are common.
+    fn random_scores(len: usize, levels: u64, state: &mut u64) -> Vec<f64> {
+        (0..len)
+            .map(|_| {
+                *state ^= *state << 13;
+                *state ^= *state >> 7;
+                *state ^= *state << 17;
+                if levels > 0 {
+                    (*state % levels) as f64 * 0.25 - 1.0
+                } else {
+                    (*state >> 11) as f64 / (1u64 << 53) as f64
+                }
+            })
+            .collect()
+    }
+
+    fn as_scored(scores: &[f64]) -> Vec<u128> {
+        scores
+            .iter()
+            .enumerate()
+            .map(|(pos, &s)| rank_key(s, pos))
+            .collect()
+    }
+
+    #[test]
+    fn top_k_selection_matches_stable_sort() {
+        let mut state = 0x9e37_79b9_7f4a_7c15;
+        let extremes = vec![
+            0.0,
+            -0.0,
+            1.5,
+            f64::NEG_INFINITY,
+            -0.0,
+            -1.5,
+            f64::INFINITY,
+            0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+        ];
+        let mut inputs = vec![extremes];
+        for len in [0usize, 1, 2, 5, 64, 257, 1000] {
+            for levels in [0u64, 1, 3, 8] {
+                inputs.push(random_scores(len, levels, &mut state));
+            }
+        }
+        for scores in &inputs {
+            let len = scores.len();
+            for k in [
+                0,
+                1,
+                2,
+                3,
+                len / 2,
+                len.saturating_sub(1),
+                len,
+                len + 1,
+                4096,
+            ] {
+                let mut picks = Vec::new();
+                top_k_indices(&mut as_scored(scores), k, &mut picks);
+                assert_eq!(picks, sorted_reference(scores, k), "{scores:?}, k {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn stitched_selection_matches_per_chunk_reference() {
+        let mut state = 0x2545_f491_4f6c_dd1d;
+        // Lengths that leave uneven final chunks for most `n`.
+        for len in [1usize, 3, 4, 10, 63, 257, 1000] {
+            for levels in [0u64, 2, 8] {
+                let scores = random_scores(len, levels, &mut state);
+                for n in [1usize, 2, 3, 4, 7, 64] {
+                    for k in [1, 2, 5, 8, 64, 256, len, len + 3] {
+                        let mut picks = Vec::new();
+                        select_top(&mut as_scored(&scores), k, n, &mut picks);
+                        assert_eq!(
+                            picks,
+                            stitched_reference(&scores, k, n),
+                            "len {len}, levels {levels}, n {n}, k {k}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -137,6 +137,30 @@ impl SweepStats {
     }
 }
 
+/// Splits `pipelines` into at most `groups` non-empty batches of
+/// roughly equal quality-evaluation work, estimated as the items each
+/// pipeline's stages score per query. Largest first onto the lightest
+/// batch, ties to the earlier pipeline and batch, so the split is
+/// deterministic; each batch keeps enumeration order.
+fn quality_groups(pipelines: Vec<PipelineConfig>, groups: usize) -> Vec<Vec<PipelineConfig>> {
+    let cost = |p: &PipelineConfig| p.stages().iter().map(|s| s.items_in).sum::<u64>();
+    let mut order: Vec<usize> = (0..pipelines.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(cost(&pipelines[i])));
+    let mut load = vec![0u64; groups.clamp(1, pipelines.len().max(1))];
+    let mut home = vec![0usize; pipelines.len()];
+    for i in order {
+        let lightest = (0..load.len()).min_by_key(|&g| load[g]).expect("a group");
+        load[lightest] += cost(&pipelines[i]);
+        home[i] = lightest;
+    }
+    let mut out = vec![Vec::new(); load.len()];
+    for (pipeline, g) in pipelines.into_iter().zip(home) {
+        out[g].push(pipeline);
+    }
+    out.retain(|g| !g.is_empty());
+    out
+}
+
 /// Derives the simulation seed of candidate `index` from the settings'
 /// base seed (a splitmix64 step), so every design point runs an
 /// independent arrival stream and parallel workers never share RNG
@@ -540,11 +564,13 @@ impl Scheduler {
     /// once) and a pipeline filter applied before any evaluation.
     ///
     /// Candidate evaluation fans across the settings' worker pool:
-    /// quality (one task per distinct pipeline) first, then the
-    /// queueing simulations (one task per pipeline x placement, each
-    /// with its own [`candidate_seed`]). Candidates keep their serial
-    /// enumeration order, so the returned points are identical for any
-    /// worker count.
+    /// quality first (one query-major
+    /// [`evaluate_many`](QualityEvaluator::evaluate_many) batch per
+    /// worker), then the queueing simulations (one task per pipeline x
+    /// placement, each with its own [`candidate_seed`]). A pipeline's
+    /// quality never depends on its batch, and candidates keep their
+    /// serial enumeration order, so the returned points are identical
+    /// for any worker count.
     #[allow(clippy::too_many_arguments)]
     fn explore_pool_cached(
         &self,
@@ -567,17 +593,22 @@ impl Scheduler {
             .filter(|p| keep(p))
             .collect();
 
-        // Phase 1: quality per distinct pipeline, in parallel, skipping
-        // pipelines the caller already evaluated (e.g. on a previous
-        // partition of a multi-pool sweep).
+        // Phase 1: quality per distinct pipeline, one batch per worker,
+        // skipping pipelines the caller already evaluated (e.g. on a
+        // previous partition of a multi-pool sweep).
         let missing: Vec<PipelineConfig> = pipelines
             .iter()
             .filter(|p| !quality_cache.contains_key(*p))
             .cloned()
             .collect();
-        let scores = parallel_map(&missing, workers, |_, p| quality_eval.evaluate(p).ndcg);
-        for (pipeline, ndcg) in missing.into_iter().zip(scores) {
-            quality_cache.insert(pipeline, ndcg);
+        let groups = quality_groups(missing, workers);
+        let reports = parallel_map(&groups, workers, |_, group| {
+            quality_eval.evaluate_many(group)
+        });
+        for (group, reports) in groups.into_iter().zip(reports) {
+            for (pipeline, report) in group.into_iter().zip(reports) {
+                quality_cache.insert(pipeline, report.ndcg);
+            }
         }
 
         // Phase 2: enumerate candidates serially (cheap, deterministic
@@ -1241,6 +1272,79 @@ mod tests {
             Scheduler::select_survivors(&ranked, 1.0),
             vec![10, 11, 12, 13, 14]
         );
+    }
+
+    #[test]
+    fn quality_cache_is_identical_for_any_worker_count() {
+        let cache_with = |workers: usize| {
+            let scheduler = Scheduler::new(SchedulerSettings {
+                quality_queries: 8,
+                sim_queries: 50,
+                workers: Some(workers),
+                ..SchedulerSettings::paper_default()
+            });
+            let pool: Vec<Arc<dyn Backend>> = vec![Arc::new(CpuModel::cascade_lake())];
+            let mut cache = HashMap::new();
+            scheduler.explore_pool_cached(
+                500.0,
+                3,
+                &pool,
+                4,
+                None,
+                &PcieModel::measured(),
+                &mut cache,
+                &mut SweepStats::default(),
+                |_| true,
+            );
+            (scheduler, cache)
+        };
+        let (scheduler, serial) = cache_with(1);
+        let pipelines = scheduler.enumerate_pipelines(3);
+        assert_eq!(serial.len(), pipelines.len());
+        let evaluator = scheduler.quality_evaluator().sub_batches(4);
+        for p in &pipelines {
+            assert_eq!(
+                serial[p].to_bits(),
+                evaluator.evaluate(p).ndcg.to_bits(),
+                "{}",
+                p.describe()
+            );
+        }
+        for workers in [2, 3, 8] {
+            let (_, cache) = cache_with(workers);
+            assert_eq!(cache.len(), serial.len(), "workers {workers}");
+            for p in &pipelines {
+                assert_eq!(cache[p].to_bits(), serial[p].to_bits(), "workers {workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn quality_groups_balance_work_and_keep_every_pipeline() {
+        let pipelines = Scheduler::new(SchedulerSettings::paper_default()).enumerate_pipelines(3);
+        let cost = |g: &[PipelineConfig]| -> u64 {
+            g.iter().flat_map(|p| p.stages()).map(|s| s.items_in).sum()
+        };
+        for groups in [1, 2, 3, 8, 200] {
+            let split = quality_groups(pipelines.clone(), groups);
+            assert_eq!(split.len(), groups.min(pipelines.len()));
+            assert_eq!(split, quality_groups(pipelines.clone(), groups));
+            assert_eq!(split.iter().map(Vec::len).sum::<usize>(), pipelines.len());
+            for p in &pipelines {
+                assert_eq!(split.iter().flatten().filter(|q| *q == p).count(), 1);
+            }
+            let loads: Vec<u64> = split.iter().map(|g| cost(g)).collect();
+            let biggest = pipelines
+                .iter()
+                .map(|p| cost(std::slice::from_ref(p)))
+                .max();
+            let (lo, hi) = (loads.iter().min(), loads.iter().max());
+            assert!(
+                hi.unwrap() - lo.unwrap() <= biggest.unwrap(),
+                "groups {groups}: loads {loads:?}"
+            );
+        }
+        assert!(quality_groups(Vec::new(), 4).is_empty());
     }
 
     #[test]

@@ -37,6 +37,31 @@ pub fn ideal_sorted(gains: &[f64]) -> Vec<f64> {
     sorted
 }
 
+/// The `k` largest of `gains`, descending: exactly
+/// `ideal_sorted(gains)[..k.min(gains.len())]`, found by selection
+/// rather than a full sort. NDCG@k only reads the ideal ordering's top
+/// `k`, so this is all the normalizer needs.
+///
+/// # Examples
+///
+/// ```
+/// use recpipe_metrics::ideal_top_k;
+/// assert_eq!(ideal_top_k(&[1.0, 4.0, 2.0, 3.0], 2), vec![4.0, 3.0]);
+/// ```
+pub fn ideal_top_k(gains: &[f64], k: usize) -> Vec<f64> {
+    let by_desc = |a: &f64, b: &f64| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal);
+    if k == 0 {
+        return Vec::new();
+    }
+    let mut top = gains.to_vec();
+    if k < top.len() {
+        top.select_nth_unstable_by(k - 1, by_desc);
+        top.truncate(k);
+    }
+    top.sort_unstable_by(by_desc);
+    top
+}
+
 /// Normalized DCG over full lists.
 ///
 /// `ranked` holds the gains of the items in the order the system served
@@ -129,6 +154,31 @@ mod tests {
         let ideal = [10.0, 1.0, 1.0];
         let served_without_best = [1.0, 1.0, 0.0];
         assert!(ndcg_at_k(&served_without_best, &ideal, 3) < 0.5);
+    }
+
+    #[test]
+    fn ideal_top_k_is_the_sorted_prefix() {
+        // Forced ties (gains drawn from a handful of values) and every
+        // k from 0 past the length.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for len in [0usize, 1, 2, 7, 64, 300] {
+            let gains: Vec<f64> = (0..len)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state % 5) as f64 * 0.5
+                })
+                .collect();
+            let sorted = ideal_sorted(&gains);
+            for k in [0, 1, 2, 3, 63, 64, 65, len.saturating_sub(1), len, len + 1] {
+                assert_eq!(
+                    ideal_top_k(&gains, k),
+                    sorted[..k.min(len)],
+                    "len {len}, k {k}"
+                );
+            }
+        }
     }
 
     #[test]
