@@ -13,14 +13,14 @@ use recpipe_hwsim::{CpuModel, PcieModel};
 use recpipe_qsim::{
     serve_multipath, BatchModel, BatchWindow, ExpectedWait, Fifo, HedgePolicy, JoinShortestQueue,
     LeastWorkLeft, LifecycleConfig, LifecycleEvent, LifecycleSchedule, LoadAdaptive, PathSet,
-    PipelineSpec, PowerOfTwoChoices, ReplicaGroup, ReplicaProfile, ResilienceConfig, ResourceSpec,
-    RetryBudget, RetryPolicy, RoundRobin, Router, StageSpec,
+    PipelineSpec, PowerOfTwoChoices, ReplicaGroup, ReplicaProfile, ResilienceConfig, RetryBudget,
+    RetryPolicy, RoundRobin, Router, StageSpec,
 };
 
 fn two_stage() -> PipelineSpec {
     PipelineSpec::new(vec![
-        ResourceSpec::new("cpu", 64),
-        ResourceSpec::new("gpu", 1),
+        ReplicaGroup::new("cpu", 64),
+        ReplicaGroup::new("gpu", 1),
     ])
     .with_stage(StageSpec::new("front", 1, 1, 0.0012))
     .unwrap()
@@ -44,8 +44,8 @@ fn bench_qsim_v2(c: &mut Criterion) {
     // bursty MMPP arrivals, and a batch-window policy (timer events,
     // priority queues, batch formation).
     let spec = PipelineSpec::new(vec![
-        ResourceSpec::new("cpu", 64),
-        ResourceSpec::new("gpu", 1),
+        ReplicaGroup::new("cpu", 64),
+        ReplicaGroup::new("gpu", 1),
     ])
     .with_stage(StageSpec::new("front", 1, 1, 0.0012).with_batch(BatchModel::new(16, 0.15)))
     .unwrap()

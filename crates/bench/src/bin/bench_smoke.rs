@@ -28,8 +28,8 @@ use recpipe_data::{DiurnalArrivals, PoissonArrivals, TraceArrivals};
 use recpipe_qsim::{
     serve_multipath, BatchModel, ExpectedWait, Fifo, HedgePolicy, JoinShortestQueue,
     LifecycleConfig, LifecycleEvent, LifecycleSchedule, LoadAdaptive, PathSet, PipelineSpec,
-    ReplicaGroup, ReplicaProfile, ResilienceConfig, ResourceSpec, RetryBudget, RetryPolicy,
-    RoundRobin, StageSpec,
+    ReplicaGroup, ReplicaProfile, ResilienceConfig, RetryBudget, RetryPolicy, RoundRobin,
+    StageSpec,
 };
 
 /// Largest tolerated machine-normalized measured/baseline ratio.
@@ -107,8 +107,8 @@ fn baseline_ns_per_iter(json: &str, name: &str) -> Option<f64> {
 fn two_stage() -> PipelineSpec {
     // Mirrors benches/queueing_sim.rs `qsim/two_stage_10000q`.
     PipelineSpec::new(vec![
-        ResourceSpec::new("cpu", 64),
-        ResourceSpec::new("gpu", 1),
+        ReplicaGroup::new("cpu", 64),
+        ReplicaGroup::new("gpu", 1),
     ])
     .with_stage(StageSpec::new("front", 1, 1, 0.0012))
     .expect("valid stage")

@@ -16,11 +16,10 @@
 //!   provisions for the *predicted* demand plus headroom — paying a
 //!   little steady-state cost to have capacity warm before the peak.
 //!
-//! Both implement [`ScalingPolicy`]; [`Engine::serve_scaled`] adapts
-//! any `ScalingPolicy` into the simulator's `FleetController` and runs
-//! the closed loop end to end.
-//!
-//! [`Engine::serve_scaled`]: crate::Engine::serve_scaled
+//! Both implement [`ScalingPolicy`]; [`AsController`] adapts any
+//! `ScalingPolicy` into the simulator's `FleetController`, and
+//! [`PipelineSpec::serve_autoscaled`](recpipe_qsim::PipelineSpec::serve_autoscaled)
+//! runs the closed loop end to end.
 
 use recpipe_qsim::{FleetController, WindowStats};
 
@@ -30,10 +29,9 @@ use recpipe_qsim::{FleetController, WindowStats};
 /// [`FleetController`](recpipe_qsim::FleetController) — the split
 /// exists so policies can live in the core crate (next to engines,
 /// placements, and cost axes) without the qsim crate knowing about
-/// them; [`Engine::serve_scaled`](crate::Engine::serve_scaled) adapts
-/// across the seam. The simulator clamps whatever the policy returns to
-/// the configured `[min, max]` band, so policies may speak their mind
-/// without range bookkeeping.
+/// them; [`AsController`] adapts across the seam. The simulator clamps
+/// whatever the policy returns to the configured `[min, max]` band, so
+/// policies may speak their mind without range bookkeeping.
 pub trait ScalingPolicy: std::fmt::Debug {
     /// Short name for reports and example output.
     fn name(&self) -> String;
@@ -218,9 +216,9 @@ impl ScalingPolicy for PredictiveScaling {
 }
 
 /// Adapts a core [`ScalingPolicy`] into the simulator's
-/// [`FleetController`] seam — the glue
-/// [`Engine::serve_scaled`](crate::Engine::serve_scaled) uses so
-/// policies never depend on qsim internals.
+/// [`FleetController`] seam, so policies never depend on qsim
+/// internals: pass `&mut AsController(&mut policy)` to
+/// [`PipelineSpec::serve_autoscaled`](recpipe_qsim::PipelineSpec::serve_autoscaled).
 #[derive(Debug)]
 pub struct AsController<'a>(
     /// The adapted policy.

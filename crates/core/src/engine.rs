@@ -313,8 +313,8 @@ impl EngineBuilder {
 
     /// Enables dynamic batching: every stage of the serving spec
     /// carries its backend's batch-scaling curve, and scheduling
-    /// policies passed to [`Engine::serve_with`] may aggregate queries
-    /// per launch. Disabled by default — per-query serving reproduces
+    /// policies serving [`Engine::spec`] may aggregate queries per
+    /// launch. Disabled by default — per-query serving reproduces
     /// the pre-batching simulator exactly.
     pub fn batching(mut self, enabled: bool) -> Self {
         self.batching = enabled;
@@ -605,17 +605,11 @@ impl Engine {
 
     /// Runs the raw queueing simulation: `queries` Poisson arrivals at
     /// `qps` offered load, FIFO-scheduled.
-    pub fn serve(&self, qps: f64, queries: usize) -> SimResult {
-        self.spec.simulate(qps, queries, self.seed)
-    }
-
-    /// Runs the batching-aware queueing simulation under an arbitrary
-    /// arrival process and scheduling policy — the serving-core seam
-    /// for traffic scenarios beyond the paper's Poisson/FIFO setup.
     ///
-    /// Build the engine with [`EngineBuilder::batching`] for the
-    /// policies' batch formation to have hardware batches to exploit;
-    /// without it every stage is per-query and policies only reorder.
+    /// Every other serving scenario — arrival processes, scheduling
+    /// policies, routers, sharding, lifecycle, autoscaling, resilience —
+    /// is a [`PipelineSpec`] method run on [`spec`](Self::spec) with
+    /// [`seed`](Self::seed).
     ///
     /// # Examples
     ///
@@ -636,95 +630,14 @@ impl Engine {
     ///
     /// // Bursty traffic served with a 2 ms batch window.
     /// let bursty = MmppArrivals::new(50.0, 400.0, 0.5, 0.1);
-    /// let result = engine.serve_with(&bursty, &BatchWindow::new(0.002), 2_000);
+    /// let result = engine
+    ///     .spec()
+    ///     .serve(&bursty, &BatchWindow::new(0.002), 2_000, engine.seed());
     /// assert_eq!(result.completed, 2_000);
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
-    pub fn serve_with(
-        &self,
-        arrivals: &dyn recpipe_data::ArrivalProcess,
-        policy: &dyn recpipe_qsim::SchedulingPolicy,
-        queries: usize,
-    ) -> SimResult {
-        self.spec.serve(arrivals, policy, queries, self.seed)
-    }
-
-    /// Runs the cluster-aware queueing simulation with an explicit
-    /// replica [`Router`](recpipe_qsim::Router) — the seam for
-    /// comparing load-balancing strategies over a replicated engine
-    /// (build it with [`EngineBuilder::replicas`]). On an unreplicated
-    /// engine every router reproduces
-    /// [`serve_with`](Self::serve_with) exactly.
-    pub fn serve_routed(
-        &self,
-        arrivals: &dyn recpipe_data::ArrivalProcess,
-        policy: &dyn recpipe_qsim::SchedulingPolicy,
-        router: &dyn recpipe_qsim::Router,
-        queries: usize,
-    ) -> SimResult {
-        self.spec
-            .serve_routed(arrivals, policy, router, queries, self.seed)
-    }
-
-    /// Runs the routed simulation sharded by pipeline stage — identical
-    /// results to [`serve_routed`](Self::serve_routed) at a fraction of
-    /// the wall clock on multi-stage specs with per-stage backends.
-    ///
-    /// `workers` follows the engine convention ([`worker_threads`]):
-    /// `None`/`Some(0)` use one thread per available core (capped at
-    /// one per stage), explicit counts are honored, and `Some(1)` runs
-    /// sequentially. Specs the per-stage decomposition cannot handle
-    /// (shared backends across stages, single-stage pipelines,
-    /// closed-loop arrivals) silently fall back to the serial loop.
-    ///
-    /// [`worker_threads`]: crate::worker_threads
-    pub fn serve_sharded(
-        &self,
-        arrivals: &(dyn recpipe_data::ArrivalProcess + Sync),
-        policy: &(dyn recpipe_qsim::SchedulingPolicy + Sync),
-        router: &(dyn recpipe_qsim::Router + Sync),
-        queries: usize,
-        workers: Option<usize>,
-    ) -> SimResult {
-        let workers = crate::worker_threads(workers);
-        self.spec
-            .serve_routed_sharded(arrivals, policy, router, queries, self.seed, workers)
-    }
-
-    /// Runs the closed-loop autoscaled simulation: a [`ScalingPolicy`]
-    /// is consulted at every telemetry window boundary and the scaled
-    /// group's fleet is resized through warm-up and drains — the
-    /// transient-behavior seam steady-state sweeps cannot reach.
-    ///
-    /// Build the engine with enough replicas on the scaled backend to
-    /// cover `cfg.max_replicas` (e.g. [`EngineBuilder::replicas`]); the
-    /// band in `cfg` then decides how much of that ceiling the policy
-    /// may actually use. Returns [`EngineError::Sim`] when the run hits
-    /// an unrecoverable availability hole (see
-    /// [`SimError`](recpipe_qsim::SimError)).
-    ///
-    /// [`ScalingPolicy`]: crate::ScalingPolicy
-    pub fn serve_scaled(
-        &self,
-        arrivals: &dyn recpipe_data::ArrivalProcess,
-        policy: &dyn recpipe_qsim::SchedulingPolicy,
-        router: &dyn recpipe_qsim::Router,
-        queries: usize,
-        cfg: &recpipe_qsim::AutoscaleConfig,
-        scaling: &mut dyn crate::ScalingPolicy,
-    ) -> Result<SimResult, EngineError> {
-        let mut controller = crate::AsController(scaling);
-        self.spec
-            .serve_autoscaled(
-                arrivals,
-                policy,
-                router,
-                queries,
-                self.seed,
-                cfg,
-                &mut controller,
-            )
-            .map_err(EngineError::from)
+    pub fn serve(&self, qps: f64, queries: usize) -> SimResult {
+        self.spec.simulate(qps, queries, self.seed)
     }
 
     /// Starts building a multi-path [`PathSet`](recpipe_qsim::PathSet)
@@ -735,62 +648,6 @@ impl Engine {
     /// evaluator unless given explicitly.
     pub fn paths(&self) -> crate::PathSetBuilder<'_> {
         crate::PathSetBuilder::for_engine(self)
-    }
-
-    /// Runs the multi-path simulation: every arriving query is offered
-    /// to `admission`, which picks a path of `paths` (built with
-    /// [`Engine::paths`]) or sheds it — the per-query quality-elastic
-    /// seam brown-out serving needs. With a single-path set and
-    /// [`AlwaysPrimary`](recpipe_qsim::AlwaysPrimary) under the default
-    /// [`LifecycleConfig`](recpipe_qsim::LifecycleConfig) the run is
-    /// bit-identical to [`serve_routed`](Self::serve_routed).
-    ///
-    /// Returns [`EngineError::Sim`] when the run hits an unrecoverable
-    /// availability hole (see [`SimError`](recpipe_qsim::SimError)).
-    #[allow(clippy::too_many_arguments)]
-    pub fn serve_multipath(
-        &self,
-        paths: &recpipe_qsim::PathSet,
-        arrivals: &dyn recpipe_data::ArrivalProcess,
-        policy: &dyn recpipe_qsim::SchedulingPolicy,
-        router: &dyn recpipe_qsim::Router,
-        admission: &dyn recpipe_qsim::AdmissionPolicy,
-        queries: usize,
-        cfg: &recpipe_qsim::LifecycleConfig,
-    ) -> Result<SimResult, EngineError> {
-        recpipe_qsim::serve_multipath(
-            paths, arrivals, policy, router, admission, queries, self.seed, cfg,
-        )
-        .map_err(EngineError::from)
-    }
-
-    /// Runs the resilience-aware simulation: lifecycle schedules on the
-    /// engine's spec (including limpware
-    /// [`Degrade`](recpipe_qsim::LifecycleAction::Degrade) events,
-    /// typically injected with a
-    /// [`FaultPlan`](recpipe_qsim::FaultPlan)) replay while `resilience`
-    /// arms per-query timeouts, retries, and hedged requests. With an
-    /// inert [`ResilienceConfig`](recpipe_qsim::ResilienceConfig) and a
-    /// default lifecycle the run is bit-identical to
-    /// [`serve_routed`](Self::serve_routed).
-    ///
-    /// Returns [`EngineError::Sim`] when the run hits an unrecoverable
-    /// availability hole (see [`SimError`](recpipe_qsim::SimError)).
-    #[allow(clippy::too_many_arguments)]
-    pub fn serve_resilient(
-        &self,
-        arrivals: &dyn recpipe_data::ArrivalProcess,
-        policy: &dyn recpipe_qsim::SchedulingPolicy,
-        router: &dyn recpipe_qsim::Router,
-        queries: usize,
-        cfg: &recpipe_qsim::LifecycleConfig,
-        resilience: &recpipe_qsim::ResilienceConfig,
-    ) -> Result<SimResult, EngineError> {
-        self.spec
-            .serve_resilient(
-                arrivals, policy, router, queries, self.seed, cfg, resilience,
-            )
-            .map_err(EngineError::from)
     }
 
     /// Explores the scheduler's design space over this engine's backend
@@ -834,7 +691,7 @@ mod tests {
     use crate::StageConfig;
     use recpipe_hwsim::StageWork;
     use recpipe_models::ModelKind;
-    use recpipe_qsim::ResourceSpec;
+    use recpipe_qsim::ReplicaGroup;
 
     fn two_stage() -> PipelineConfig {
         PipelineConfig::builder()
@@ -957,8 +814,8 @@ mod tests {
             "mock".into()
         }
 
-        fn resources(&self) -> ResourceSpec {
-            ResourceSpec::new("mock", self.units)
+        fn resources(&self) -> ReplicaGroup {
+            ReplicaGroup::new("mock", self.units)
         }
 
         fn stage_latency(&self, _work: &StageWork, parallelism: usize) -> f64 {
@@ -1087,9 +944,9 @@ mod tests {
     }
 
     #[test]
-    fn serve_with_fifo_poisson_reproduces_serve_exactly() {
-        // Without batching, the new seam is bit-identical to the legacy
-        // QPS interface on the same seed.
+    fn spec_serve_fifo_poisson_reproduces_serve_exactly() {
+        // Without batching, the spec's general run is bit-identical to
+        // the QPS interface on the same seed.
         use recpipe_data::PoissonArrivals;
         use recpipe_qsim::Fifo;
         let engine = Engine::commodity(two_stage())
@@ -1097,7 +954,9 @@ mod tests {
             .build()
             .unwrap();
         let legacy = engine.serve(300.0, 1_500);
-        let v2 = engine.serve_with(&PoissonArrivals::new(300.0), &Fifo, 1_500);
+        let v2 = engine
+            .spec()
+            .serve(&PoissonArrivals::new(300.0), &Fifo, 1_500, engine.seed());
         assert_eq!(legacy, v2);
     }
 
@@ -1154,10 +1013,11 @@ mod tests {
         // — only weight streaming and the lanes-side compute shrink.
         let overload = per_query.max_qps() * 1.5;
         let fifo = per_query.serve(overload, 4_000);
-        let windowed = batched.serve_with(
+        let windowed = batched.spec().serve(
             &PoissonArrivals::new(overload),
             &BatchWindow::new(0.002),
             4_000,
+            batched.seed(),
         );
         assert!(fifo.saturated);
         assert!(
@@ -1262,11 +1122,12 @@ mod tests {
             .quality_queries(20)
             .build()
             .unwrap();
-        let out = mixed.serve_routed(
+        let out = mixed.spec().serve_routed(
             &PoissonArrivals::new(0.8 * mixed.max_qps()),
             &Fifo,
             &ExpectedWait,
             3_000,
+            mixed.seed(),
         );
         assert_eq!(out.completed, 3_000);
         assert!(!out.saturated);
@@ -1275,7 +1136,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_routed_on_unreplicated_engine_matches_serve_with() {
+    fn serve_routed_on_unreplicated_engine_matches_serve() {
         use recpipe_data::PoissonArrivals;
         use recpipe_qsim::{Fifo, JoinShortestQueue};
         let engine = Engine::commodity(two_stage())
@@ -1283,8 +1144,9 @@ mod tests {
             .build()
             .unwrap();
         let arrivals = PoissonArrivals::new(250.0);
-        let plain = engine.serve_with(&arrivals, &Fifo, 1_500);
-        let routed = engine.serve_routed(&arrivals, &Fifo, &JoinShortestQueue, 1_500);
+        let spec = engine.spec();
+        let plain = spec.serve(&arrivals, &Fifo, 1_500, engine.seed());
+        let routed = spec.serve_routed(&arrivals, &Fifo, &JoinShortestQueue, 1_500, engine.seed());
         assert_eq!(plain, routed);
     }
 
@@ -1305,11 +1167,12 @@ mod tests {
             .quality_queries(20)
             .build()
             .unwrap();
-        let out = fleet.serve_routed(
+        let out = fleet.spec().serve_routed(
             &PoissonArrivals::new(overload),
             &Fifo,
             &JoinShortestQueue,
             3_000,
+            fleet.seed(),
         );
         assert!(!out.saturated);
         assert_eq!(out.completed, 3_000);
@@ -1318,7 +1181,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_scaled_resizes_the_fleet_through_the_policy_seam() {
+    fn autoscaled_run_resizes_the_fleet_through_the_policy_seam() {
         use recpipe_data::PoissonArrivals;
         use recpipe_qsim::{AutoscaleConfig, Fifo, JoinShortestQueue};
         let fleet = Engine::commodity(two_stage())
@@ -1330,13 +1193,15 @@ mod tests {
         let cfg = AutoscaleConfig::new(0, 1, 4, 0.5).with_initial_replicas(1);
         let mut policy = crate::ReactiveScaling::new(0.6, 4.0);
         let out = fleet
-            .serve_scaled(
+            .spec()
+            .serve_autoscaled(
                 &PoissonArrivals::new(0.5 * fleet.max_qps()),
                 &Fifo,
                 &JoinShortestQueue,
                 3_000,
+                fleet.seed(),
                 &cfg,
-                &mut policy,
+                &mut crate::AsController(&mut policy),
             )
             .unwrap();
         // The closed loop completed every query, recorded telemetry,

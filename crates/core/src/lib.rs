@@ -13,13 +13,17 @@
 //! * [`Engine::sweep`] → the scheduler's design-space exploration,
 //!   reduced to a [`ParetoFront`](recpipe_metrics::ParetoFront) of
 //!   outcomes;
-//! * [`Engine::serve`] → a raw at-scale queueing simulation;
-//! * [`Engine::serve_scaled`] → a closed-loop autoscaled run driven by
-//!   a [`ScalingPolicy`] ([`ReactiveScaling`] or [`PredictiveScaling`])
-//!   resizing the fleet through warm-up and drains;
-//! * [`Engine::paths`] + [`Engine::serve_multipath`] → multi-path
-//!   quality-elastic serving: a [`PathSetBuilder`] assembles degraded
-//!   alternates over the same machines and an
+//! * [`Engine::serve`] → a raw at-scale queueing simulation; every
+//!   richer serving scenario is a
+//!   [`PipelineSpec`](recpipe_qsim::PipelineSpec) method run on
+//!   [`Engine::spec`] with [`Engine::seed`];
+//! * [`AsController`] → a closed-loop autoscaled run driven by a
+//!   [`ScalingPolicy`] ([`ReactiveScaling`] or [`PredictiveScaling`])
+//!   resizing the fleet through warm-up and drains, via
+//!   [`PipelineSpec::serve_autoscaled`](recpipe_qsim::PipelineSpec::serve_autoscaled);
+//! * [`Engine::paths`] + [`serve_multipath`](recpipe_qsim::serve_multipath)
+//!   → multi-path quality-elastic serving: a [`PathSetBuilder`]
+//!   assembles degraded alternates over the same machines and an
 //!   [`AdmissionPolicy`](recpipe_qsim::AdmissionPolicy) picks a path
 //!   (or sheds) per query, with [`AdmissionSweep`] gridding policy
 //!   knobs into [`Scheduler::pareto_brownout`]'s three-objective front.

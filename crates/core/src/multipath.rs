@@ -9,8 +9,9 @@
 //!   engine's own pipeline, each alternate a (typically lighter)
 //!   pipeline contending for the same machines — measuring each path's
 //!   NDCG with the engine's Monte-Carlo evaluator;
-//! * [`Engine::serve_multipath`] runs the per-query admission loop
-//!   (see [`AdmissionPolicy`](recpipe_qsim::AdmissionPolicy));
+//! * [`serve_multipath`](recpipe_qsim::serve_multipath) runs the
+//!   per-query admission loop (see
+//!   [`AdmissionPolicy`](recpipe_qsim::AdmissionPolicy));
 //! * [`AdmissionSweep`] grids admission-policy knobs over one path set
 //!   and returns [`BrownoutOutcome`]s, reduced to a three-objective
 //!   front by [`Scheduler::pareto_brownout`](crate::Scheduler::pareto_brownout)
@@ -53,7 +54,7 @@ struct PlannedPath {
 /// use recpipe_core::{Engine, Placement, PipelineConfig, StageConfig};
 /// use recpipe_data::PoissonArrivals;
 /// use recpipe_models::ModelKind;
-/// use recpipe_qsim::{Fifo, LifecycleConfig, LoadAdaptive, RoundRobin};
+/// use recpipe_qsim::{serve_multipath, Fifo, LifecycleConfig, LoadAdaptive, RoundRobin};
 ///
 /// let full = PipelineConfig::builder()
 ///     .stage(StageConfig::new(ModelKind::RmSmall, 4096, 256))
@@ -72,13 +73,14 @@ struct PlannedPath {
 /// assert_eq!(paths.num_paths(), 2);
 /// assert!(paths.quality(0) > paths.quality(1));
 ///
-/// let out = engine.serve_multipath(
+/// let out = serve_multipath(
 ///     &paths,
 ///     &PoissonArrivals::new(200.0),
 ///     &Fifo,
 ///     &RoundRobin,
 ///     &LoadAdaptive::new(0.8, 0.5),
 ///     1_000,
+///     engine.seed(),
 ///     &LifecycleConfig::default(),
 /// )?;
 /// assert_eq!(out.paths.len(), 2);
@@ -385,18 +387,21 @@ mod tests {
         let engine = quick_engine();
         let paths = engine.paths().build().unwrap();
         let arrivals = PoissonArrivals::new(300.0);
-        let mut multi = engine
-            .serve_multipath(
-                &paths,
-                &arrivals,
-                &Fifo,
-                &RoundRobin,
-                &AlwaysPrimary,
-                1_500,
-                &LifecycleConfig::default(),
-            )
-            .unwrap();
-        let routed = engine.serve_routed(&arrivals, &Fifo, &RoundRobin, 1_500);
+        let mut multi = recpipe_qsim::serve_multipath(
+            &paths,
+            &arrivals,
+            &Fifo,
+            &RoundRobin,
+            &AlwaysPrimary,
+            1_500,
+            engine.seed(),
+            &LifecycleConfig::default(),
+        )
+        .unwrap();
+        let routed =
+            engine
+                .spec()
+                .serve_routed(&arrivals, &Fifo, &RoundRobin, 1_500, engine.seed());
         multi.paths.clear();
         multi.admission_shed = 0;
         assert_eq!(multi, routed);

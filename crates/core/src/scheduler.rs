@@ -501,13 +501,6 @@ impl Scheduler {
         out
     }
 
-    /// Compatibility alias for [`fleet_variants`](Self::fleet_variants)
-    /// (the pre-fleet name, when variants could only differ in uniform
-    /// replica counts).
-    pub fn replica_variants(&self, placement: &Placement) -> Vec<Placement> {
-        self.fleet_variants(placement)
-    }
-
     /// Explores the joint design space over an arbitrary backend pool —
     /// the generic engine behind [`explore_cpu`](Self::explore_cpu),
     /// [`explore_hetero`](Self::explore_hetero), and
@@ -1040,22 +1033,22 @@ mod tests {
     }
 
     #[test]
-    fn replica_variants_are_identity_at_default_options() {
+    fn fleet_variants_are_identity_at_default_options() {
         let s = scheduler();
         let placement = Placement::gpu_frontend(2, 2);
-        assert_eq!(s.replica_variants(&placement), vec![placement.clone()]);
+        assert_eq!(s.fleet_variants(&placement), vec![placement.clone()]);
     }
 
     #[test]
-    fn replica_variants_cross_distinct_backends() {
+    fn fleet_variants_cross_distinct_backends() {
         let mut settings = SchedulerSettings::quick();
         settings.replica_options = vec![1, 2];
         let s = Scheduler::new(settings);
         // Two distinct backends -> 2 x 2 variants; one backend -> 2.
-        assert_eq!(s.replica_variants(&Placement::gpu_frontend(2, 1)).len(), 4);
-        assert_eq!(s.replica_variants(&Placement::cpu_only(2)).len(), 2);
+        assert_eq!(s.fleet_variants(&Placement::gpu_frontend(2, 1)).len(), 4);
+        assert_eq!(s.fleet_variants(&Placement::cpu_only(2)).len(), 2);
         let costs: Vec<usize> = s
-            .replica_variants(&Placement::cpu_only(2))
+            .fleet_variants(&Placement::cpu_only(2))
             .iter()
             .map(|p| p.replica_cost())
             .collect();

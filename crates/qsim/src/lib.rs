@@ -37,17 +37,18 @@
 //! * **Queries** flow through stages in order; per-query end-to-end
 //!   latency lands in a [`LatencyStats`](recpipe_metrics::LatencyStats).
 //!
-//! The legacy entry point [`simulate`] (Poisson + FIFO + per-query
-//! stages) is a thin wrapper over [`serve`] and reproduces the
-//! pre-batching simulator bit-for-bit on the same seed.
+//! Every single-pipeline run is a [`PipelineSpec`] method:
+//! [`simulate`](PipelineSpec::simulate) for the paper's Poisson/FIFO
+//! setup, and the `serve*` family for richer scenarios. Multi-path runs
+//! take a [`PathSet`] through [`serve_multipath`].
 //!
 //! # Examples
 //!
 //! ```
-//! use recpipe_qsim::{PipelineSpec, ResourceSpec, StageSpec};
+//! use recpipe_qsim::{PipelineSpec, ReplicaGroup, StageSpec};
 //!
 //! // One 64-core CPU serving a single 10 ms stage at 500 QPS.
-//! let spec = PipelineSpec::new(vec![ResourceSpec::new("cpu", 64)])
+//! let spec = PipelineSpec::new(vec![ReplicaGroup::new("cpu", 64)])
 //!     .with_stage(StageSpec::new("rank", 0, 1, 0.010))
 //!     .expect("valid stage");
 //! let mut result = spec.simulate(500.0, 5_000, 42);
@@ -59,11 +60,11 @@
 //!
 //! ```
 //! use recpipe_data::MmppArrivals;
-//! use recpipe_qsim::{BatchModel, BatchWindow, PipelineSpec, ResourceSpec, StageSpec};
+//! use recpipe_qsim::{BatchModel, BatchWindow, PipelineSpec, ReplicaGroup, StageSpec};
 //!
 //! // A GPU-like stage: 4 ms per query, but a batch of 8 costs far less
 //! // than 8 single launches (marginal cost 0.2).
-//! let spec = PipelineSpec::new(vec![ResourceSpec::new("gpu", 1)])
+//! let spec = PipelineSpec::new(vec![ReplicaGroup::new("gpu", 1)])
 //!     .with_stage(StageSpec::new("rank", 0, 1, 0.004).with_batch(BatchModel::new(8, 0.2)))
 //!     .expect("valid stage");
 //! let bursty = MmppArrivals::new(100.0, 800.0, 0.2, 0.05);
@@ -74,7 +75,6 @@
 
 mod admission;
 mod lifecycle;
-mod persist;
 mod policy;
 mod resilience;
 mod result;
@@ -91,7 +91,6 @@ pub use lifecycle::{
     AutoscaleConfig, FailurePolicy, FleetController, LifecycleAction, LifecycleConfig,
     LifecycleEvent, LifecycleSchedule, SimError, SloSpec, WindowStats,
 };
-pub use persist::ParseError;
 pub use policy::{BatchWindow, EarliestDeadlineFirst, Fifo, QueueEntry, Release, SchedulingPolicy};
 pub use resilience::{
     FaultBurst, FaultKind, FaultPlan, HedgeDelay, HedgePolicy, ResilienceConfig, ResilienceStats,
@@ -102,11 +101,5 @@ pub use router::{
     ExpectedWait, JoinShortestQueue, LeastWorkLeft, PowerOfTwoChoices, ReplicaLoads,
     ReplicaSnapshot, RoundRobin, Router, RouterState, RoutingCtx, Sticky,
 };
-pub use shard::serve_routed_sharded;
-pub use sim::{
-    serve, serve_autoscaled, serve_lifecycle, serve_multipath, serve_resilient, serve_routed,
-    simulate,
-};
-pub use spec::{
-    BatchModel, PipelineSpec, ReplicaGroup, ReplicaProfile, ResourceSpec, SpecError, StageSpec,
-};
+pub use sim::serve_multipath;
+pub use spec::{BatchModel, PipelineSpec, ReplicaGroup, ReplicaProfile, SpecError, StageSpec};

@@ -320,7 +320,7 @@ pub struct WindowStats {
     pub dropped: usize,
     /// Queries that exhausted their timeout (and any retry allowance)
     /// during the window. Always zero outside resilience-aware runs
-    /// (see [`serve_resilient`](crate::serve_resilient)).
+    /// (see [`serve_resilient`](crate::PipelineSpec::serve_resilient)).
     pub timed_out: usize,
     /// p99 latency of the window's completions in seconds (0.0 when the
     /// window completed nothing).
@@ -487,7 +487,7 @@ pub trait FleetController {
 }
 
 /// Options for a lifecycle-aware run
-/// ([`serve_lifecycle`](crate::serve_lifecycle)): how failures treat
+/// ([`serve_lifecycle`](crate::PipelineSpec::serve_lifecycle)): how failures treat
 /// stranded work, how slowly warming replicas serve, and whether to
 /// record windowed telemetry.
 #[derive(Debug, Clone, PartialEq)]
@@ -556,7 +556,7 @@ impl LifecycleConfig {
 }
 
 /// Options for a closed-loop autoscaled run
-/// ([`serve_autoscaled`](crate::serve_autoscaled)): which resource
+/// ([`serve_autoscaled`](crate::PipelineSpec::serve_autoscaled)): which resource
 /// group a [`FleetController`] resizes, within what band, and on what
 /// cadence. The spec's group must hold `max_replicas` slots — the
 /// controller provisions and drains within them.

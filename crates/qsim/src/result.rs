@@ -8,9 +8,9 @@ use crate::{ResilienceStats, WindowStats};
 /// # Examples
 ///
 /// ```
-/// use recpipe_qsim::{PipelineSpec, ResourceSpec, StageSpec};
+/// use recpipe_qsim::{PipelineSpec, ReplicaGroup, StageSpec};
 ///
-/// let spec = PipelineSpec::new(vec![ResourceSpec::new("cpu", 8)])
+/// let spec = PipelineSpec::new(vec![ReplicaGroup::new("cpu", 8)])
 ///     .with_stage(StageSpec::new("rank", 0, 1, 0.005))?;
 /// let mut result = spec.simulate(100.0, 2_000, 1);
 /// println!("p99 = {:.2} ms", result.p99_seconds() * 1e3);
@@ -63,7 +63,7 @@ pub struct SimResult {
     /// lifecycle sheds). Zero outside multi-path runs.
     pub admission_shed: usize,
     /// Query-level resilience telemetry of a
-    /// [`serve_resilient`](crate::serve_resilient) run: timeouts,
+    /// [`serve_resilient`](crate::PipelineSpec::serve_resilient) run: timeouts,
     /// retries by attempt, hedges issued/won, and wasted service
     /// seconds. `None` outside resilient runs.
     pub resilience: Option<ResilienceStats>,
@@ -142,7 +142,7 @@ impl SimResult {
     }
 
     /// Queries resolved as timed-out-final (0 outside
-    /// [`serve_resilient`](crate::serve_resilient) runs) — the fourth
+    /// [`serve_resilient`](crate::PipelineSpec::serve_resilient) runs) — the fourth
     /// term of the conservation ledger `completed + shed + dropped +
     /// timed_out`.
     pub fn timed_out(&self) -> usize {

@@ -10,8 +10,8 @@
 //!
 //! # Determinism
 //!
-//! [`serve_routed_sharded`] produces the *same* [`SimResult`] as
-//! [`serve_routed`](crate::serve_routed) for any worker count,
+//! [`PipelineSpec::serve_routed_sharded`] produces the *same*
+//! [`SimResult`] as [`PipelineSpec::serve_routed`] for any worker count,
 //! including 1 (the property tests pin this across the router × policy
 //! × replica × batching matrix). Three invariants carry the proof:
 //!
@@ -46,14 +46,14 @@
 //! a resource group (one slot would need two owners), closed-loop
 //! arrivals (completions feed back to admissions, coupling tail to
 //! head), and non-positive service times. Lifecycle and autoscaled
-//! runs always take [`serve_lifecycle`](crate::serve_lifecycle) /
-//! [`serve_autoscaled`](crate::serve_autoscaled), which are serial.
+//! runs always take [`PipelineSpec::serve_lifecycle`] /
+//! [`PipelineSpec::serve_autoscaled`], which are serial.
 
 use std::sync::mpsc;
 
 use recpipe_data::ArrivalProcess;
 
-use crate::sim::{serve_routed, ShardOutcome, ShardSink, ShardSource, Sim};
+use crate::sim::{ShardOutcome, ShardSink, ShardSource, Sim};
 use crate::{PipelineSpec, Router, SchedulingPolicy, SimResult};
 
 /// Completion tuples per channel send: large enough to amortize the
@@ -174,58 +174,60 @@ fn shardable(spec: &PipelineSpec, arrivals: &dyn ArrivalProcess) -> bool {
     true
 }
 
-/// Runs the cluster-aware simulation sharded by pipeline stage: one
-/// shard (and, with `workers > 1`, one thread) per stage, chained by
-/// bounded hand-off channels, merged into a [`SimResult`] **identical
-/// to [`serve_routed`](crate::serve_routed)** on the same inputs (see
-/// the module docs for the determinism argument).
-///
-/// `workers` is a parallelism *cap*, not a shard count: `0` resolves
-/// to the machine's available parallelism, `1` runs the shards
-/// sequentially on the calling thread (buffering each boundary), and
-/// anything higher runs one thread per stage. The result never depends
-/// on `workers`.
-///
-/// Specs outside the decomposition's reach (single stage, stages
-/// sharing a resource group, closed-loop arrivals, non-positive
-/// service times) silently fall back to the serial loop.
-///
-/// # Panics
-///
-/// Panics if the pipeline has no stages or `num_queries == 0`.
-pub fn serve_routed_sharded(
-    spec: &PipelineSpec,
-    arrivals: &(dyn ArrivalProcess + Sync),
-    policy: &(dyn SchedulingPolicy + Sync),
-    router: &(dyn Router + Sync),
-    num_queries: usize,
-    seed: u64,
-    workers: usize,
-) -> SimResult {
-    assert!(!spec.stages().is_empty(), "pipeline has no stages");
-    assert!(num_queries > 0, "need at least one query");
-    if !shardable(spec, arrivals) {
-        return serve_routed(spec, arrivals, policy, router, num_queries, seed);
+impl PipelineSpec {
+    /// Runs the cluster-aware simulation sharded by pipeline stage: one
+    /// shard (and, with `workers > 1`, one thread) per stage, chained by
+    /// bounded hand-off channels, merged into a [`SimResult`]
+    /// **identical to [`serve_routed`](Self::serve_routed)** on the same
+    /// inputs (see the module docs for the determinism argument).
+    ///
+    /// `workers` is a parallelism *cap*, not a shard count: `0`
+    /// resolves to the machine's available parallelism, `1` runs the
+    /// shards sequentially on the calling thread (buffering each
+    /// boundary), and anything higher runs one thread per stage. The
+    /// result never depends on `workers`.
+    ///
+    /// Specs outside the decomposition's reach (single stage, stages
+    /// sharing a resource group, closed-loop arrivals, non-positive
+    /// service times) silently fall back to the serial loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pipeline has no stages or `num_queries == 0`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn serve_routed_sharded(
+        &self,
+        arrivals: &(dyn ArrivalProcess + Sync),
+        policy: &(dyn SchedulingPolicy + Sync),
+        router: &(dyn Router + Sync),
+        num_queries: usize,
+        seed: u64,
+        workers: usize,
+    ) -> SimResult {
+        self.assert_runnable(num_queries);
+        if !shardable(self, arrivals) {
+            return self.serve_routed(arrivals, policy, router, num_queries, seed);
+        }
+        // simlint: allow(shard-nondet) -- worker count only picks the execution strategy
+        let workers = if workers == 0 {
+            // simlint: allow(shard-nondet) -- sizes the thread pool only; per-shard
+            // results are computed independently and merged in shard order, so the
+            // merged output is invariant to how many workers ran (proved by the
+            // sharded == serial frozen-reference proptests).
+            std::thread::available_parallelism().map_or(1, |p| p.get())
+        } else {
+            workers
+        };
+        let stages = self.stages().len();
+        // simlint: allow(shard-nondet) -- sequential vs threaded produce identical
+        // shard outcomes; the branch only avoids thread spawn overhead at 1 worker.
+        let outcomes = if workers <= 1 {
+            run_sequential(self, arrivals, policy, router, num_queries, seed, stages)
+        } else {
+            run_threaded(self, arrivals, policy, router, num_queries, seed, stages)
+        };
+        merge(self, arrivals, outcomes)
     }
-    // simlint: allow(shard-nondet) -- worker count only picks the execution strategy
-    let workers = if workers == 0 {
-        // simlint: allow(shard-nondet) -- sizes the thread pool only; per-shard
-        // results are computed independently and merged in shard order, so the
-        // merged output is invariant to how many workers ran (proved by the
-        // sharded == serial frozen-reference proptests).
-        std::thread::available_parallelism().map_or(1, |p| p.get())
-    } else {
-        workers
-    };
-    let stages = spec.stages().len();
-    // simlint: allow(shard-nondet) -- sequential vs threaded produce identical
-    // shard outcomes; the branch only avoids thread spawn overhead at 1 worker.
-    let outcomes = if workers <= 1 {
-        run_sequential(spec, arrivals, policy, router, num_queries, seed, stages)
-    } else {
-        run_threaded(spec, arrivals, policy, router, num_queries, seed, stages)
-    };
-    merge(spec, arrivals, outcomes)
 }
 
 #[allow(clippy::too_many_arguments)]

@@ -352,158 +352,243 @@ impl BatchQueries {
     }
 }
 
-/// Runs the legacy-interface simulation: Poisson arrivals at `qps`,
-/// FIFO scheduling, per-query service.
-///
-/// This is a thin wrapper over [`serve`] — kept because nearly every
-/// experiment in the repository speaks in offered QPS. Since all stages
-/// built by [`StageSpec::new`] are per-query, it reproduces the
-/// pre-batching simulator bit-for-bit on the same seed.
-///
-/// # Panics
-///
-/// Panics if the pipeline has no stages, `num_queries == 0`, or `qps` is
-/// not strictly positive.
-pub fn simulate(spec: &PipelineSpec, qps: f64, num_queries: usize, seed: u64) -> SimResult {
-    assert!(qps.is_finite() && qps > 0.0, "qps must be positive");
-    serve(spec, &PoissonArrivals::new(qps), &Fifo, num_queries, seed)
-}
+/// The single-spec runs. Each method picks which `Sim` runtimes it
+/// enables (`enable_lifecycle`, `enable_autoscale`,
+/// `enable_resilience`); the stage-sharded run lives in shard.rs.
+impl PipelineSpec {
+    /// The preconditions every single-spec run shares.
+    pub(crate) fn assert_runnable(&self, num_queries: usize) {
+        assert!(!self.stages().is_empty(), "pipeline has no stages");
+        assert!(num_queries > 0, "need at least one query");
+    }
 
-/// Runs the batching-aware discrete-event simulation with
-/// [`RoundRobin`] replica routing (see [`serve_routed`] for an explicit
-/// router; on single-replica pipelines the router is irrelevant).
-///
-/// Queries are injected by `arrivals` (open-loop schedules, or
-/// closed-loop client feedback) and traverse the stages in order. Each
-/// stage's waiting work queues on one replica of its resource group;
-/// `policy` decides when a batch launches (see [`SchedulingPolicy`]); a
-/// launched batch holds the stage's `units` on that replica for the
-/// batch service time given by the stage's
-/// [`BatchModel`](crate::BatchModel).
-///
-/// The first 5% of queries are discarded as warmup. The run is marked
-/// `saturated` when an open-loop offered load exceeds the pipeline's
-/// fully-batched analytic capacity, or a backlog persists at the end of
-/// the run.
-///
-/// # Panics
-///
-/// Panics if the pipeline has no stages or `num_queries == 0`.
-pub fn serve(
-    spec: &PipelineSpec,
-    arrivals: &dyn ArrivalProcess,
-    policy: &dyn SchedulingPolicy,
-    num_queries: usize,
-    seed: u64,
-) -> SimResult {
-    serve_routed(spec, arrivals, policy, &RoundRobin, num_queries, seed)
-}
+    /// A serial simulator for one run of this spec, after
+    /// [`assert_runnable`](Self::assert_runnable).
+    fn sim<'a>(
+        &'a self,
+        arrivals: &'a dyn ArrivalProcess,
+        policy: &'a dyn SchedulingPolicy,
+        router: &'a dyn Router,
+        num_queries: usize,
+        seed: u64,
+    ) -> Sim<'a> {
+        self.assert_runnable(num_queries);
+        Sim::new(self, arrivals, policy, router, num_queries, seed)
+    }
 
-/// Runs the cluster-aware discrete-event simulation: `router` picks a
-/// replica per query at every stage, then `policy` schedules batches
-/// within each replica's private queue (batches never span replicas).
-///
-/// # Panics
-///
-/// Panics if the pipeline has no stages or `num_queries == 0`.
-pub fn serve_routed(
-    spec: &PipelineSpec,
-    arrivals: &dyn ArrivalProcess,
-    policy: &dyn SchedulingPolicy,
-    router: &dyn Router,
-    num_queries: usize,
-    seed: u64,
-) -> SimResult {
-    assert!(!spec.stages().is_empty(), "pipeline has no stages");
-    assert!(num_queries > 0, "need at least one query");
-    Sim::new(spec, arrivals, policy, router, num_queries, seed)
-        .run()
-        .expect("lifecycle-free simulation cannot fail")
-}
+    /// Runs the discrete-event simulation at `qps` Poisson offered load
+    /// for `num_queries` queries with the given seed: FIFO scheduling,
+    /// round-robin routing.
+    ///
+    /// This is [`serve`](Self::serve) under Poisson arrivals and
+    /// [`Fifo`], kept because nearly every experiment in the repository
+    /// speaks in offered QPS. Since all stages built by
+    /// [`StageSpec::new`] are per-query, it reproduces the pre-batching
+    /// simulator bit-for-bit on the same seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pipeline has no stages, `num_queries == 0`, or
+    /// `qps` is not strictly positive.
+    pub fn simulate(&self, qps: f64, num_queries: usize, seed: u64) -> SimResult {
+        assert!(qps.is_finite() && qps > 0.0, "qps must be positive");
+        self.serve(&PoissonArrivals::new(qps), &Fifo, num_queries, seed)
+    }
 
-/// Runs the lifecycle-aware simulation: every group's attached
-/// [`LifecycleSchedule`](crate::LifecycleSchedule) replays as timed
-/// availability events, routers see only available (up or warming)
-/// replicas, and `cfg` picks the [`FailurePolicy`] for stranded work
-/// plus an optional telemetry window. With only empty schedules and no
-/// window the run is bit-identical to [`serve_routed`].
-///
-/// # Errors
-///
-/// Returns [`SimError::NoAvailableReplica`] when a query arrives at a
-/// fully-down group under [`FailurePolicy::Requeue`] and no provision
-/// or recovery is pending.
-///
-/// # Panics
-///
-/// Panics if the pipeline has no stages or `num_queries == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn serve_lifecycle(
-    spec: &PipelineSpec,
-    arrivals: &dyn ArrivalProcess,
-    policy: &dyn SchedulingPolicy,
-    router: &dyn Router,
-    num_queries: usize,
-    seed: u64,
-    cfg: &LifecycleConfig,
-) -> Result<SimResult, SimError> {
-    assert!(!spec.stages().is_empty(), "pipeline has no stages");
-    assert!(num_queries > 0, "need at least one query");
-    let mut sim = Sim::new(spec, arrivals, policy, router, num_queries, seed);
-    sim.enable_lifecycle(cfg);
-    sim.run()
-}
+    /// Runs the batching-aware discrete-event simulation with
+    /// [`RoundRobin`] replica routing (see
+    /// [`serve_routed`](Self::serve_routed) for an explicit router; on
+    /// single-replica pipelines the router is irrelevant).
+    ///
+    /// Queries are injected by `arrivals` (open-loop schedules, or
+    /// closed-loop client feedback) and traverse the stages in order.
+    /// Each stage's waiting work queues on one replica of its resource
+    /// group; `policy` decides when a batch launches (see
+    /// [`SchedulingPolicy`]); a launched batch holds the stage's `units`
+    /// on that replica for the batch service time given by the stage's
+    /// [`BatchModel`](crate::BatchModel).
+    ///
+    /// The first 5% of queries are discarded as warmup. The run is
+    /// marked `saturated` when an open-loop offered load exceeds the
+    /// pipeline's fully-batched analytic capacity, or a backlog persists
+    /// at the end of the run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pipeline has no stages or `num_queries == 0`.
+    pub fn serve(
+        &self,
+        arrivals: &dyn ArrivalProcess,
+        policy: &dyn SchedulingPolicy,
+        num_queries: usize,
+        seed: u64,
+    ) -> SimResult {
+        self.serve_routed(arrivals, policy, &RoundRobin, num_queries, seed)
+    }
 
-/// Runs the closed-loop autoscaled simulation: a [`FleetController`]
-/// sees each closing telemetry window and resizes `cfg.group`'s fleet
-/// within `[cfg.min_replicas, cfg.max_replicas]` by provisioning down
-/// replicas (through `cfg.warmup_s` of reduced-speed warm-up) and
-/// draining live ones — drains finish queued and in-flight work, so
-/// scale-down never kills live queries. Replicas `cfg.initial_replicas
-/// ..` of the group start down; scheduled lifecycle events (failure
-/// injection, maintenance drains) replay alongside the controller's
-/// actions.
-///
-/// # Errors
-///
-/// Returns [`SimError::NoAvailableReplica`] under [`serve_lifecycle`]'s
-/// rule (arrivals at the scaled group always park rather than fail —
-/// the controller may yet provision).
-///
-/// # Panics
-///
-/// Panics if the pipeline has no stages, `num_queries == 0`,
-/// `cfg.group` is out of range, or `cfg.max_replicas` exceeds the
-/// group's replica count.
-#[allow(clippy::too_many_arguments)]
-pub fn serve_autoscaled(
-    spec: &PipelineSpec,
-    arrivals: &dyn ArrivalProcess,
-    policy: &dyn SchedulingPolicy,
-    router: &dyn Router,
-    num_queries: usize,
-    seed: u64,
-    cfg: &AutoscaleConfig,
-    controller: &mut dyn FleetController,
-) -> Result<SimResult, SimError> {
-    assert!(!spec.stages().is_empty(), "pipeline has no stages");
-    assert!(num_queries > 0, "need at least one query");
-    assert!(
-        cfg.group < spec.resources().len(),
-        "autoscale group {} does not exist",
-        cfg.group
-    );
-    assert!(
-        cfg.max_replicas <= spec.resources()[cfg.group].replicas(),
-        "autoscale ceiling {} exceeds the group's {} replicas",
-        cfg.max_replicas,
-        spec.resources()[cfg.group].replicas()
-    );
-    let mut sim = Sim::new(spec, arrivals, policy, router, num_queries, seed);
-    let lifecycle = cfg.lifecycle.clone().with_window(cfg.window_s);
-    sim.enable_lifecycle(&lifecycle);
-    sim.enable_autoscale(cfg, controller);
-    sim.run()
+    /// Runs the cluster-aware discrete-event simulation: `router` picks
+    /// a replica per query at every stage, then `policy` schedules
+    /// batches within each replica's private queue (batches never span
+    /// replicas).
+    ///
+    /// On a pipeline whose groups are all single-replica the router has
+    /// no choices and every router produces identical results — the
+    /// output matches [`serve`](Self::serve) exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pipeline has no stages or `num_queries == 0`.
+    pub fn serve_routed(
+        &self,
+        arrivals: &dyn ArrivalProcess,
+        policy: &dyn SchedulingPolicy,
+        router: &dyn Router,
+        num_queries: usize,
+        seed: u64,
+    ) -> SimResult {
+        self.sim(arrivals, policy, router, num_queries, seed)
+            .run()
+            .expect("lifecycle-free simulation cannot fail")
+    }
+
+    /// Runs the lifecycle-aware simulation: every group's attached
+    /// [`LifecycleSchedule`](crate::LifecycleSchedule) replays as timed
+    /// availability events (warm-up, drains, fail-stops, recoveries),
+    /// routers see only available (up or warming) replicas, and `cfg`
+    /// picks the [`FailurePolicy`] for stranded work plus an optional
+    /// telemetry window. With only empty schedules and no window the
+    /// run is bit-identical to [`serve_routed`](Self::serve_routed).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::NoAvailableReplica`] when a query arrives at
+    /// a fully-down group under [`FailurePolicy::Requeue`] and no
+    /// provision or recovery is pending.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pipeline has no stages or `num_queries == 0`.
+    pub fn serve_lifecycle(
+        &self,
+        arrivals: &dyn ArrivalProcess,
+        policy: &dyn SchedulingPolicy,
+        router: &dyn Router,
+        num_queries: usize,
+        seed: u64,
+        cfg: &LifecycleConfig,
+    ) -> Result<SimResult, SimError> {
+        let mut sim = self.sim(arrivals, policy, router, num_queries, seed);
+        sim.enable_lifecycle(cfg);
+        sim.run()
+    }
+
+    /// Runs the closed-loop autoscaled simulation: a [`FleetController`]
+    /// sees each closing telemetry window and resizes `cfg.group`'s
+    /// fleet within `[cfg.min_replicas, cfg.max_replicas]` by
+    /// provisioning down replicas (through `cfg.warmup_s` of
+    /// reduced-speed warm-up) and draining live ones — drains finish
+    /// queued and in-flight work, so scale-down never kills live
+    /// queries. Replicas `cfg.initial_replicas..` of the group start
+    /// down; scheduled lifecycle events (failure injection, maintenance
+    /// drains) replay alongside the controller's actions.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::NoAvailableReplica`] under
+    /// [`serve_lifecycle`](Self::serve_lifecycle)'s rule (arrivals at
+    /// the scaled group always park rather than fail — the controller
+    /// may yet provision).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pipeline has no stages, `num_queries == 0`,
+    /// `cfg.group` is out of range, or `cfg.max_replicas` exceeds the
+    /// group's replica count.
+    #[allow(clippy::too_many_arguments)]
+    pub fn serve_autoscaled(
+        &self,
+        arrivals: &dyn ArrivalProcess,
+        policy: &dyn SchedulingPolicy,
+        router: &dyn Router,
+        num_queries: usize,
+        seed: u64,
+        cfg: &AutoscaleConfig,
+        controller: &mut dyn FleetController,
+    ) -> Result<SimResult, SimError> {
+        let groups = self.resources();
+        assert!(
+            cfg.group < groups.len(),
+            "autoscale group {} does not exist",
+            cfg.group
+        );
+        assert!(
+            cfg.max_replicas <= groups[cfg.group].replicas(),
+            "autoscale ceiling {} exceeds the group's {} replicas",
+            cfg.max_replicas,
+            groups[cfg.group].replicas()
+        );
+        let mut sim = self.sim(arrivals, policy, router, num_queries, seed);
+        let lifecycle = cfg.lifecycle.clone().with_window(cfg.window_s);
+        sim.enable_lifecycle(&lifecycle);
+        sim.enable_autoscale(cfg, controller);
+        sim.run()
+    }
+
+    /// Runs the query-level-resilient simulation: lifecycle schedules
+    /// replay as in [`serve_lifecycle`](Self::serve_lifecycle)
+    /// (including gray-failure [`Degrade`](crate::LifecycleAction::Degrade)
+    /// events — limping replicas keep accepting routes at a fraction of
+    /// profile speed), and `resilience` arms client-side machinery
+    /// around every query:
+    ///
+    /// * a per-attempt **timeout** — a fired timeout abandons the
+    ///   attempt (its queued or in-flight lanes cancel lazily and count
+    ///   as wasted work) and consults the [`RetryPolicy`]: re-dispatch
+    ///   from stage 0 after exponential, jittered backoff while attempts
+    ///   and the [`RetryBudget`](crate::RetryBudget) allow, else resolve
+    ///   the query timed-out-final;
+    /// * an optional **hedge** — after a fixed or quantile-derived
+    ///   delay, a duplicate lane dispatches to a different replica of
+    ///   the entry group; the first lane to finish wins and the loser is
+    ///   cancelled lazily.
+    ///
+    /// Per-run [`ResilienceStats`] land in
+    /// [`SimResult::resilience`](crate::SimResult::resilience);
+    /// timed-out queries count per-window in
+    /// [`WindowStats::timed_out`](crate::WindowStats::timed_out).
+    /// Conservation holds as `completed + shed + dropped + timed_out ==
+    /// num_queries` on open-loop runs. With an inert config (no timeout,
+    /// no hedge) the run is bit-identical to
+    /// [`serve_lifecycle`](Self::serve_lifecycle) (pinned by proptest).
+    /// Resilient runs always use the serial loop — lane duplication
+    /// breaks sharding's stage-independence.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::NoAvailableReplica`] under
+    /// [`serve_lifecycle`](Self::serve_lifecycle)'s rule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pipeline has no stages, `num_queries == 0`, the
+    /// pipeline has more than 4,095 stages, or the retry policy allows
+    /// more than 255 attempts (the packed-event layout's bounds).
+    #[allow(clippy::too_many_arguments)]
+    pub fn serve_resilient(
+        &self,
+        arrivals: &dyn ArrivalProcess,
+        policy: &dyn SchedulingPolicy,
+        router: &dyn Router,
+        num_queries: usize,
+        seed: u64,
+        cfg: &LifecycleConfig,
+        resilience: &ResilienceConfig,
+    ) -> Result<SimResult, SimError> {
+        let mut sim = self.sim(arrivals, policy, router, num_queries, seed);
+        sim.enable_lifecycle(cfg);
+        sim.enable_resilience(resilience, seed);
+        sim.run()
+    }
 }
 
 /// Runs the multi-path simulation: `admission` is consulted once per
@@ -518,17 +603,18 @@ pub fn serve_autoscaled(
 /// when telemetry is on).
 ///
 /// Lifecycle schedules on the shared fleet replay as in
-/// [`serve_lifecycle`]; with the default [`LifecycleConfig`] and a
-/// single-path set under [`AlwaysPrimary`](crate::AlwaysPrimary) the
-/// run is bit-identical to [`serve_routed`] (pinned by proptest).
+/// [`PipelineSpec::serve_lifecycle`]; with the default
+/// [`LifecycleConfig`] and a single-path set under
+/// [`AlwaysPrimary`](crate::AlwaysPrimary) the run is bit-identical to
+/// [`PipelineSpec::serve_routed`] (pinned by proptest).
 /// Multi-path runs always use the serial loop — sharding's
 /// stage-independence does not hold once arrival-time decisions pick
 /// among stage chains.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::NoAvailableReplica`] under [`serve_lifecycle`]'s
-/// rule.
+/// Returns [`SimError::NoAvailableReplica`] under
+/// [`PipelineSpec::serve_lifecycle`]'s rule.
 ///
 /// # Panics
 ///
@@ -545,67 +631,10 @@ pub fn serve_multipath(
     cfg: &LifecycleConfig,
 ) -> Result<SimResult, SimError> {
     assert!(paths.num_paths() > 0, "path set has no paths");
-    assert!(num_queries > 0, "need at least one query");
+    paths.spec().assert_runnable(num_queries);
     let mut sim = Sim::new(paths.spec(), arrivals, policy, router, num_queries, seed);
     sim.enable_lifecycle(cfg);
     sim.enable_multipath(paths, admission, seed);
-    sim.run()
-}
-
-/// Runs the query-level-resilient simulation: lifecycle schedules
-/// replay as in [`serve_lifecycle`] (including gray-failure
-/// [`Degrade`](crate::LifecycleAction::Degrade) events — limping
-/// replicas keep accepting routes at a fraction of profile speed), and
-/// `resilience` arms client-side machinery around every query:
-///
-/// * a per-attempt **timeout** — a fired timeout abandons the attempt
-///   (its queued or in-flight lanes cancel lazily and count as wasted
-///   work) and consults the [`RetryPolicy`]: re-dispatch from stage 0
-///   after exponential, jittered backoff while attempts and the
-///   [`RetryBudget`](crate::RetryBudget) allow, else resolve the query
-///   timed-out-final;
-/// * an optional **hedge** — after a fixed or quantile-derived delay, a
-///   duplicate lane dispatches to a different replica of the entry
-///   group; the first lane to finish wins and the loser is cancelled
-///   lazily.
-///
-/// Per-run [`ResilienceStats`] land in
-/// [`SimResult::resilience`](crate::SimResult::resilience); timed-out
-/// queries count per-window in
-/// [`WindowStats::timed_out`](crate::WindowStats::timed_out).
-/// Conservation holds as `completed + shed + dropped + timed_out ==
-/// num_queries` on open-loop runs. With an inert config (no timeout, no
-/// hedge) the run is bit-identical to [`serve_routed`] plus the
-/// lifecycle machinery (pinned by proptest). Resilient runs always use
-/// the serial loop — lane duplication breaks sharding's
-/// stage-independence.
-///
-/// # Errors
-///
-/// Returns [`SimError::NoAvailableReplica`] under [`serve_lifecycle`]'s
-/// rule.
-///
-/// # Panics
-///
-/// Panics if the pipeline has no stages, `num_queries == 0`, the
-/// pipeline has more than 4095 stages, or the retry policy allows more
-/// than 255 attempts (packed-event layout bounds).
-#[allow(clippy::too_many_arguments)]
-pub fn serve_resilient(
-    spec: &PipelineSpec,
-    arrivals: &dyn ArrivalProcess,
-    policy: &dyn SchedulingPolicy,
-    router: &dyn Router,
-    num_queries: usize,
-    seed: u64,
-    cfg: &LifecycleConfig,
-    resilience: &ResilienceConfig,
-) -> Result<SimResult, SimError> {
-    assert!(!spec.stages().is_empty(), "pipeline has no stages");
-    assert!(num_queries > 0, "need at least one query");
-    let mut sim = Sim::new(spec, arrivals, policy, router, num_queries, seed);
-    sim.enable_lifecycle(cfg);
-    sim.enable_resilience(resilience, seed);
     sim.run()
 }
 
@@ -889,10 +918,11 @@ const RQ_LIVE: u8 = 1;
 /// surviving lanes are carcasses.
 const RQ_DONE: u8 = 2;
 
-/// Query-level resilience runtime (see [`serve_resilient`]): per-query
-/// lane generations and attempt counts, the retry token bucket, the
-/// completed-latency reservoir behind quantile hedge delays, and the
-/// run's [`ResilienceStats`]. Boxed behind an `Option` at the
+/// Query-level resilience runtime (see
+/// [`PipelineSpec::serve_resilient`]): per-query lane generations and
+/// attempt counts, the retry token bucket, the completed-latency
+/// reservoir behind quantile hedge delays, and the run's
+/// [`ResilienceStats`]. Boxed behind an `Option` at the
 /// simulator's cold tail — resilience-free runs never touch it.
 struct ResilienceRt {
     /// Per-attempt timeout, if configured.
@@ -1391,7 +1421,7 @@ impl<'a> Sim<'a> {
 
     /// Arms closed-loop autoscaling: replicas `initial_replicas..` of
     /// the scaled group start down, and every closing telemetry window
-    /// consults `controller` (see [`serve_autoscaled`]).
+    /// consults `controller` (see [`PipelineSpec::serve_autoscaled`]).
     fn enable_autoscale(&mut self, cfg: &AutoscaleConfig, controller: &'a mut dyn FleetController) {
         self.scale = Some(ScaleRt {
             group: cfg.group,
@@ -3199,11 +3229,11 @@ impl<'a> Sim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BatchModel, BatchWindow, EarliestDeadlineFirst, ResourceSpec};
+    use crate::{BatchModel, BatchWindow, EarliestDeadlineFirst, ReplicaGroup};
     use recpipe_data::{ClosedLoopArrivals, DiurnalArrivals, MmppArrivals};
 
     fn single_stage(servers: usize, service: f64) -> PipelineSpec {
-        PipelineSpec::new(vec![ResourceSpec::new("r", servers)])
+        PipelineSpec::new(vec![ReplicaGroup::new("r", servers)])
             .with_stage(StageSpec::new("s", 0, 1, service))
             .unwrap()
     }
@@ -3214,7 +3244,7 @@ mod tests {
         max_batch: usize,
         marginal: f64,
     ) -> PipelineSpec {
-        PipelineSpec::new(vec![ResourceSpec::new("r", servers)])
+        PipelineSpec::new(vec![ReplicaGroup::new("r", servers)])
             .with_stage(
                 StageSpec::new("s", 0, 1, service).with_batch(BatchModel::new(max_batch, marginal)),
             )
@@ -3288,8 +3318,8 @@ mod tests {
     #[test]
     fn multi_stage_latency_sums_floors() {
         let spec = PipelineSpec::new(vec![
-            ResourceSpec::new("gpu", 1),
-            ResourceSpec::new("cpu", 16),
+            ReplicaGroup::new("gpu", 1),
+            ReplicaGroup::new("cpu", 16),
         ])
         .with_stage(StageSpec::new("front", 0, 1, 0.001))
         .unwrap()
@@ -3304,14 +3334,14 @@ mod tests {
     fn shared_resource_contention_raises_latency() {
         // Two stages sharing one pool must be slower than the same stages
         // on dedicated pools of the same per-stage size at high load.
-        let shared = PipelineSpec::new(vec![ResourceSpec::new("cpu", 8)])
+        let shared = PipelineSpec::new(vec![ReplicaGroup::new("cpu", 8)])
             .with_stage(StageSpec::new("a", 0, 1, 0.004))
             .unwrap()
             .with_stage(StageSpec::new("b", 0, 1, 0.004))
             .unwrap();
         let dedicated = PipelineSpec::new(vec![
-            ResourceSpec::new("cpu0", 8),
-            ResourceSpec::new("cpu1", 8),
+            ReplicaGroup::new("cpu0", 8),
+            ReplicaGroup::new("cpu1", 8),
         ])
         .with_stage(StageSpec::new("a", 0, 1, 0.004))
         .unwrap()
@@ -3339,7 +3369,7 @@ mod tests {
     fn multi_unit_stages_consume_more_capacity() {
         // units=2 halves the effective parallelism → saturation at half
         // the QPS.
-        let spec = PipelineSpec::new(vec![ResourceSpec::new("cpu", 4)])
+        let spec = PipelineSpec::new(vec![ReplicaGroup::new("cpu", 4)])
             .with_stage(StageSpec::new("wide", 0, 2, 0.01))
             .unwrap();
         assert!((spec.max_qps() - 200.0).abs() < 1e-9);
@@ -3350,7 +3380,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no stages")]
     fn empty_pipeline_panics() {
-        let spec = PipelineSpec::new(vec![ResourceSpec::new("r", 1)]);
+        let spec = PipelineSpec::new(vec![ReplicaGroup::new("r", 1)]);
         spec.simulate(10.0, 10, 0);
     }
 
@@ -3365,8 +3395,8 @@ mod tests {
         let specs = [
             single_stage(4, 0.005),
             PipelineSpec::new(vec![
-                ResourceSpec::new("gpu", 1),
-                ResourceSpec::new("cpu", 16),
+                ReplicaGroup::new("gpu", 1),
+                ReplicaGroup::new("cpu", 16),
             ])
             .with_stage(StageSpec::new("front", 0, 1, 0.001))
             .unwrap()
@@ -3483,7 +3513,7 @@ mod tests {
         // a query that already waited at stage 0 queues behind fresh
         // stage-0 arrivals at stage 1. EDF orders by system age and
         // pulls stragglers forward, trimming the tail.
-        let spec = PipelineSpec::new(vec![ResourceSpec::new("cpu", 4)])
+        let spec = PipelineSpec::new(vec![ReplicaGroup::new("cpu", 4)])
             .with_stage(StageSpec::new("a", 0, 1, 0.003))
             .unwrap()
             .with_stage(StageSpec::new("b", 0, 1, 0.003))
@@ -3572,7 +3602,7 @@ mod tests {
     // qsim v3: replica groups and routers
     // ------------------------------------------------------------------
 
-    use crate::{JoinShortestQueue, PowerOfTwoChoices, ReplicaGroup, RoundRobin, Router};
+    use crate::{JoinShortestQueue, PowerOfTwoChoices, RoundRobin, Router};
 
     /// Mixed job sizes on one replicated fleet — the scenario where
     /// load-aware routing matters: a replica grinding a long backend
@@ -3601,8 +3631,8 @@ mod tests {
         // router must reproduce `serve()` bit-for-bit — the cluster
         // redesign is invisible until replicas appear.
         let spec = PipelineSpec::new(vec![
-            ResourceSpec::new("gpu", 1),
-            ResourceSpec::new("cpu", 16),
+            ReplicaGroup::new("gpu", 1),
+            ReplicaGroup::new("cpu", 16),
         ])
         .with_stage(StageSpec::new("front", 0, 1, 0.001))
         .unwrap()
@@ -3892,8 +3922,8 @@ mod tests {
         // ExpectedWait and Sticky on single-replica pipelines have no
         // choices: results match `serve()` exactly, like every router.
         let spec = PipelineSpec::new(vec![
-            ResourceSpec::new("gpu", 1),
-            ResourceSpec::new("cpu", 16),
+            ReplicaGroup::new("gpu", 1),
+            ReplicaGroup::new("cpu", 16),
         ])
         .with_stage(StageSpec::new("front", 0, 1, 0.001))
         .unwrap()
@@ -3943,7 +3973,7 @@ mod tests {
         // everywhere and must fall back to admission order — exactly
         // FIFO. Per-query stages keep both policies work-equivalent.
         use recpipe_data::TraceArrivals;
-        let spec = PipelineSpec::new(vec![ResourceSpec::new("cpu", 2)])
+        let spec = PipelineSpec::new(vec![ReplicaGroup::new("cpu", 2)])
             .with_stage(StageSpec::new("a", 0, 1, 0.003))
             .unwrap()
             .with_stage(StageSpec::new("b", 0, 1, 0.005))
@@ -3991,7 +4021,7 @@ mod tests {
     };
 
     fn replicated(replicas: usize, service: f64) -> PipelineSpec {
-        PipelineSpec::new(vec![ResourceSpec::replicated("r", 4, replicas)])
+        PipelineSpec::new(vec![ReplicaGroup::replicated("r", 4, replicas)])
             .with_stage(StageSpec::new("s", 0, 1, service))
             .unwrap()
     }
@@ -4287,5 +4317,94 @@ mod tests {
             .unwrap();
         assert_eq!(out.completed + out.shed + out.dropped, 2_000);
         assert_eq!(out.dropped, 0);
+    }
+
+    // ------------------------------------------------------------------
+    // Documented `# Panics` contracts of the PipelineSpec runs
+    // ------------------------------------------------------------------
+
+    #[test]
+    #[should_panic(expected = "need at least one query")]
+    fn serve_routed_rejects_zero_queries() {
+        replicated(2, 0.004).serve_routed(&PoissonArrivals::new(100.0), &Fifo, &RoundRobin, 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one query")]
+    fn serve_routed_sharded_rejects_zero_queries() {
+        replicated(2, 0.004).serve_routed_sharded(
+            &PoissonArrivals::new(100.0),
+            &Fifo,
+            &RoundRobin,
+            0,
+            1,
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "autoscale group 1 does not exist")]
+    fn serve_autoscaled_rejects_an_unknown_group() {
+        let _ = replicated(2, 0.004).serve_autoscaled(
+            &PoissonArrivals::new(100.0),
+            &Fifo,
+            &RoundRobin,
+            100,
+            1,
+            &AutoscaleConfig::new(1, 1, 2, 0.1),
+            &mut FixedTarget(1),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "autoscale ceiling 3 exceeds the group's 2 replicas")]
+    fn serve_autoscaled_rejects_a_ceiling_above_the_fleet() {
+        let _ = replicated(2, 0.004).serve_autoscaled(
+            &PoissonArrivals::new(100.0),
+            &Fifo,
+            &RoundRobin,
+            100,
+            1,
+            &AutoscaleConfig::new(0, 1, 3, 0.1),
+            &mut FixedTarget(1),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 255 attempts per query")]
+    fn serve_resilient_rejects_256_attempts() {
+        let resilience = ResilienceConfig::new()
+            .with_timeout(0.1)
+            .with_retry(RetryPolicy::new(256, 0.0, 1.0));
+        let _ = replicated(2, 0.004).serve_resilient(
+            &PoissonArrivals::new(100.0),
+            &Fifo,
+            &RoundRobin,
+            100,
+            1,
+            &LifecycleConfig::new(),
+            &resilience,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "resilient runs support at most 4095 stages")]
+    fn serve_resilient_rejects_4096_stages() {
+        let spec = (0..4096).fold(
+            PipelineSpec::new(vec![ReplicaGroup::new("r", 1)]),
+            |spec, i| {
+                spec.with_stage(StageSpec::new(format!("s{i}"), 0, 1, 0.001))
+                    .unwrap()
+            },
+        );
+        let _ = spec.serve_resilient(
+            &PoissonArrivals::new(100.0),
+            &Fifo,
+            &RoundRobin,
+            1,
+            1,
+            &LifecycleConfig::new(),
+            &ResilienceConfig::new(),
+        );
     }
 }

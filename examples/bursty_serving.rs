@@ -74,7 +74,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ]);
     for arrival in &arrivals {
         for policy in &policies {
-            let mut result = engine.serve_with(arrival.as_ref(), policy.as_ref(), 20_000);
+            let mut result =
+                engine
+                    .spec()
+                    .serve(arrival.as_ref(), policy.as_ref(), 20_000, engine.seed());
             table.row(vec![
                 arrival.name(),
                 policy.name(),

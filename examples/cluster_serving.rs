@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         overload,
     );
     let arrivals = PoissonArrivals::new(overload);
-    let alone = single.serve_with(&arrivals, &Fifo, 8_000);
+    let alone = single.spec().serve(&arrivals, &Fifo, 8_000, single.seed());
     println!(
         "  single pool: saturated = {}, achieved {:.0} QPS\n",
         alone.saturated, alone.qps

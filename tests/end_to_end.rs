@@ -201,7 +201,9 @@ fn serving_core_matrix_end_to_end() {
     ];
     for arrival in &arrivals {
         for policy in &policies {
-            let out = engine.serve_with(arrival.as_ref(), policy.as_ref(), 3_000);
+            let out = engine
+                .spec()
+                .serve(arrival.as_ref(), policy.as_ref(), 3_000, engine.seed());
             assert_eq!(out.completed, 3_000, "{}/{}", arrival.name(), policy.name());
             assert!(out.mean_batch >= 1.0);
             for u in &out.utilization {
@@ -236,8 +238,9 @@ fn cluster_of_replicas_end_to_end() {
         .unwrap();
     assert_eq!(fleet.cluster().replicas(), &[1, 4]);
     let arrivals = PoissonArrivals::new(overload);
-    let rr = fleet.serve_routed(&arrivals, &Fifo, &RoundRobin, 6_000);
-    let jsq = fleet.serve_routed(&arrivals, &Fifo, &JoinShortestQueue, 6_000);
+    let spec = fleet.spec();
+    let rr = spec.serve_routed(&arrivals, &Fifo, &RoundRobin, 6_000, fleet.seed());
+    let jsq = spec.serve_routed(&arrivals, &Fifo, &JoinShortestQueue, 6_000, fleet.seed());
     assert!(!rr.saturated && !jsq.saturated);
     assert_eq!(rr.completed, 6_000);
     assert_eq!(jsq.completed, 6_000);
@@ -287,7 +290,9 @@ fn heterogeneous_fleet_end_to_end() {
         &JoinShortestQueue as &dyn recpipe::qsim::Router,
         &ExpectedWait,
     ] {
-        let out = mixed.serve_routed(&arrivals, &Fifo, router, 6_000);
+        let out = mixed
+            .spec()
+            .serve_routed(&arrivals, &Fifo, router, 6_000, mixed.seed());
         assert_eq!(out.completed, 6_000);
         assert!(!out.saturated);
         assert_eq!(out.replica_utilization[1].len(), 4);
@@ -299,9 +304,9 @@ fn trace_replay_end_to_end_reproduces_recorded_poisson_traffic() {
     // An open-loop run is fully determined by its arrival schedule:
     // recording a Poisson schedule and replaying it through
     // TraceArrivals must reproduce the simulation bit-for-bit. The
-    // seed is pinned through the builder because `serve_with` passes
-    // the engine seed to the arrival process — the recording must use
-    // the same one.
+    // seed is pinned through the builder and passed to the run, which
+    // hands it to the arrival process — the recording must use the
+    // same one.
     use recpipe::data::{ArrivalProcess, PoissonArrivals, TraceArrivals};
     use recpipe::qsim::Fifo;
 
@@ -314,8 +319,8 @@ fn trace_replay_end_to_end_reproduces_recorded_poisson_traffic() {
         .unwrap();
     let poisson = PoissonArrivals::new(300.0);
     let recorded = TraceArrivals::new(poisson.times(1_500, seed));
-    let live = engine.serve_with(&poisson, &Fifo, 1_500);
-    let replayed = engine.serve_with(&recorded, &Fifo, 1_500);
+    let live = engine.spec().serve(&poisson, &Fifo, 1_500, seed);
+    let replayed = engine.spec().serve(&recorded, &Fifo, 1_500, seed);
     assert_eq!(live.latency, replayed.latency);
     assert_eq!(live.qps, replayed.qps);
     assert_eq!(live.completed, replayed.completed);
@@ -330,7 +335,8 @@ fn closed_loop_serving_end_to_end_obeys_littles_law() {
     let floor = engine.service_floor();
     let think = 0.05;
     let clients = 16;
-    let out = engine.serve_with(&ClosedLoopArrivals::new(clients, think), &Fifo, 2_000);
+    let closed = ClosedLoopArrivals::new(clients, think);
+    let out = engine.spec().serve(&closed, &Fifo, 2_000, engine.seed());
     assert_eq!(out.completed, 2_000);
     // X = N / (R + Z); response time is at least the service floor, so
     // throughput is bounded above — and with 64 idle cores the floor is

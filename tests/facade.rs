@@ -6,7 +6,7 @@ use recpipe::data::{DatasetSpec, PoissonProcess, QueryGenerator, Zipf};
 use recpipe::hwsim::{CpuModel, GpuModel, LruCache, StageWork, StaticCacheModel};
 use recpipe::metrics::{ndcg_at_k, LatencyStats};
 use recpipe::models::{ModelConfig, ModelKind};
-use recpipe::qsim::{PipelineSpec, ResourceSpec, StageSpec};
+use recpipe::qsim::{PipelineSpec, ReplicaGroup, StageSpec};
 use recpipe::tensor::Matrix;
 
 #[test]
@@ -54,7 +54,7 @@ fn batched_serving_through_facade() {
     use recpipe::data::MmppArrivals;
     use recpipe::qsim::{BatchModel, BatchWindow};
 
-    let spec = PipelineSpec::new(vec![ResourceSpec::new("gpu", 1)])
+    let spec = PipelineSpec::new(vec![ReplicaGroup::new("gpu", 1)])
         .with_stage(StageSpec::new("rank", 0, 1, 0.004).with_batch(BatchModel::new(8, 0.2)))
         .unwrap();
     let out = spec.serve(
@@ -98,15 +98,13 @@ fn heterogeneous_fleet_through_facade() {
         ExpectedWait, Fifo, ReplicaGroup, ReplicaProfile, Router, RoutingCtx, Sticky,
     };
 
-    // qsim-level: a two-generation group with speed-weighted capacity
-    // and a serialized form that round-trips.
+    // qsim-level: a two-generation group with speed-weighted capacity.
     let group = ReplicaGroup::heterogeneous(
         "worker",
         vec![ReplicaProfile::baseline(2), ReplicaProfile::new(2, 0.5)],
     );
     assert_eq!(group.total_units(), 4);
     assert!((group.weighted_units() - 3.0).abs() < 1e-12);
-    assert_eq!(ReplicaGroup::from_json(&group.to_json()).unwrap(), group);
 
     let spec = PipelineSpec::new(vec![group])
         .with_stage(StageSpec::new("rank", 0, 1, 0.004))
@@ -186,7 +184,7 @@ fn engine_through_facade() {
 
 #[test]
 fn qsim_through_facade() {
-    let spec = PipelineSpec::new(vec![ResourceSpec::new("cpu", 4)])
+    let spec = PipelineSpec::new(vec![ReplicaGroup::new("cpu", 4)])
         .with_stage(StageSpec::new("s", 0, 1, 0.001))
         .unwrap();
     let out = spec.simulate(100.0, 500, 3);
