@@ -98,8 +98,8 @@ pub use resilience::{
 };
 pub use result::{PathStats, SimResult};
 pub use router::{
-    ExpectedWait, JoinShortestQueue, LeastWorkLeft, PowerOfTwoChoices, ReplicaLoads,
-    ReplicaSnapshot, RoundRobin, Router, RouterState, RoutingCtx, Sticky,
+    ExpectedWait, JoinShortestQueue, LeastWorkLeft, PowerOfTwoChoices, ReplicaLoads, RoundRobin,
+    Router, RouterState, RoutingCtx, Sticky,
 };
 pub use sim::serve_multipath;
 pub use spec::{BatchModel, PipelineSpec, ReplicaGroup, ReplicaProfile, SpecError, StageSpec};

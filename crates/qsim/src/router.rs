@@ -46,8 +46,8 @@
 //!   time already folds in the replica's live speed, this term is
 //!   *already* wall-clock and is **not** divided by speed again.
 //!   Exposed through [`ReplicaLoads::in_flight_wait`] when the
-//!   simulator attaches the decay columns
-//!   ([`with_in_flight_decay`](ReplicaLoads::with_in_flight_decay)).
+//!   simulator attaches the estimator columns
+//!   ([`with_estimates`](ReplicaLoads::with_estimates)).
 //!
 //! [`ReplicaLoads::expected_wait`] is the sum of the two:
 //! `remaining_work / speed + in_flight_wait`. **Units matter here**:
@@ -75,15 +75,10 @@
 //! bit-for-bit across runs and worker threads.
 //!
 //! Routing sits on the simulator's hottest path (one decision per query
-//! per stage), so the trait has two entry points: the snapshot-based
-//! [`Router::route`] (the ergonomic, implement-this-first form) and the
-//! indexed [`Router::route_indexed`] fast path, which reads the
-//! simulator's incrementally-maintained per-replica counter arrays
-//! through a [`ReplicaLoads`] view without materializing a
-//! [`ReplicaSnapshot`] per replica per decision. The default
-//! `route_indexed` builds snapshots and delegates to `route`, so custom
-//! routers only implement one method; every built-in overrides it to
-//! read a couple of scalars per probe.
+//! per stage), so [`Router::route`] reads the simulator's
+//! incrementally-maintained per-replica counter arrays through a
+//! borrowed [`ReplicaLoads`] view: a decision probes a couple of
+//! scalars per replica and allocates nothing.
 //!
 //! # Availability masking
 //!
@@ -106,95 +101,44 @@
 //! [`StageSpec::service_time`]: crate::StageSpec::service_time
 //! [`StageSpec::batch_service_time`]: crate::StageSpec::batch_service_time
 
-/// Occupancy snapshot of one replica, offered to routers at decision
-/// time.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReplicaSnapshot {
-    /// Queries waiting in the replica's queue.
-    pub queued: usize,
-    /// Queries currently in service on the replica.
-    pub in_flight: usize,
-    /// Resource units currently free on the replica.
-    pub free_units: usize,
-    /// Queued expected work in baseline seconds (see the module docs
-    /// for the estimator). Base-time: divide by [`speed`](Self::speed)
-    /// for wall clock.
-    pub remaining_work: f64,
-    /// The replica's service-rate multiplier
-    /// ([`ReplicaProfile::speed`](crate::ReplicaProfile::speed)).
-    pub speed: f64,
-    /// Decayed wall-clock seconds until the replica's in-flight batches
-    /// finish (already speed-scaled — never divide by `speed`). Zero
-    /// when the decay estimator is not attached.
-    pub in_flight_wait: f64,
-}
-
-impl ReplicaSnapshot {
-    /// The replica's total outstanding queries — the load metric
-    /// [`JoinShortestQueue`] and [`PowerOfTwoChoices`] compare.
-    pub fn load(&self) -> usize {
-        self.queued + self.in_flight
-    }
-
-    /// Expected wall-clock drain time of the replica's outstanding
-    /// work: `remaining_work / speed + in_flight_wait` (the
-    /// [`ExpectedWait`] signal; see the module docs for why only the
-    /// first term is speed-scaled).
-    pub fn expected_wait(&self) -> f64 {
-        self.remaining_work / self.speed + self.in_flight_wait
-    }
-}
-
-/// Borrowed per-replica occupancy arrays for one resource group — the
-/// allocation-free form of the `&[ReplicaSnapshot]` slice handed to
-/// [`Router::route`].
+/// Borrowed per-replica occupancy arrays for one resource group, the
+/// view every [`Router::route`] decision reads.
 ///
 /// The simulator maintains `queued`/`in_flight`/`free_units` counters
-/// plus the `remaining_work`/`speed` estimator arrays incrementally on
-/// every enqueue, launch, and completion; [`Router::route_indexed`]
-/// probes them directly, so a JSQ decision over `n` replicas reads `2n`
-/// integers instead of building `n` snapshots.
+/// plus the expected-wait estimator columns incrementally on every
+/// enqueue, launch, and completion; routers probe them directly, so a
+/// JSQ decision over `n` replicas reads `2n` integers.
 ///
-/// The estimator arrays are optional at construction
-/// ([`with_estimates`](Self::with_estimates)) so pre-fleet callers and
-/// frozen reference simulators keep building loads from the three
-/// counter arrays alone; absent estimates read as an idle
-/// ([`remaining_work`](Self::remaining_work) = 0) baseline-speed
-/// replica. The live simulator always supplies them.
+/// A view either carries all of the estimator columns
+/// ([`with_estimates`](Self::with_estimates)) or none of them. The
+/// simulator attaches them only for routers that
+/// [read them](Router::uses_estimates); without them every replica
+/// reads as idle ([`remaining_work`](Self::remaining_work) = 0,
+/// [`in_flight_wait`](Self::in_flight_wait) = 0) and baseline-speed.
 #[derive(Debug, Clone, Copy)]
 pub struct ReplicaLoads<'a> {
     queued: &'a [usize],
     in_flight: &'a [usize],
     free_units: &'a [usize],
     /// Estimator columns, attached only for routers that read them —
-    /// one `None` store on the counter-only construction path instead
-    /// of five (the loads struct is rebuilt per routing decision).
+    /// one `None` store on the counter-only construction path (the
+    /// loads struct is rebuilt per routing decision).
     est: Option<Estimates<'a>>,
 }
 
 /// The expected-wait estimator columns of a [`ReplicaLoads`].
 #[derive(Debug, Clone, Copy)]
 struct Estimates<'a> {
-    work: Option<&'a [f64]>,
-    speed: Option<&'a [f64]>,
-    /// Sum of in-flight batches' scheduled finish times per replica
-    /// (decay estimator; `None` keeps the legacy full-booking form).
-    finish_sum: Option<&'a [f64]>,
-    /// Number of in-flight batches per replica (decay estimator).
-    batches: Option<&'a [usize]>,
+    /// Queued work per replica, in baseline seconds.
+    work: &'a [f64],
+    /// Live service-rate multiplier per replica.
+    speed: &'a [f64],
+    /// Sum of in-flight batches' scheduled finish times per replica.
+    finish_sum: &'a [f64],
+    /// Number of in-flight batches per replica.
+    batches: &'a [usize],
     /// Simulation clock the decayed wait is evaluated at.
     now: f64,
-}
-
-impl Estimates<'_> {
-    /// No columns attached yet (builder starting point).
-    const NONE: Self = Estimates {
-        work: None,
-        speed: None,
-        finish_sum: None,
-        batches: None,
-        now: 0.0,
-    };
 }
 
 impl<'a> ReplicaLoads<'a> {
@@ -218,51 +162,35 @@ impl<'a> ReplicaLoads<'a> {
         }
     }
 
-    /// Attaches the remaining-work and speed estimator arrays (see the
-    /// module docs for what `work` measures).
+    /// Attaches the expected-wait estimator columns (see the module
+    /// docs for what each measures): per replica, the queued work in
+    /// baseline seconds, the service-rate multiplier, the sum of
+    /// in-flight batches' scheduled finish times and the number of
+    /// in-flight batches, plus the current simulation clock.
     ///
     /// # Panics
     ///
-    /// Panics if either slice's length differs from the counter
-    /// arrays'.
-    pub fn with_estimates(mut self, work: &'a [f64], speed: &'a [f64]) -> Self {
-        assert!(
-            work.len() == self.queued.len() && speed.len() == self.queued.len(),
-            "estimator arrays must match the counter arrays' length"
-        );
-        let est = self.est.get_or_insert(Estimates::NONE);
-        est.work = Some(work);
-        est.speed = Some(speed);
-        self
-    }
-
-    /// Attaches the decayed in-flight columns: per replica, the sum of
-    /// in-flight batches' scheduled finish times, the number of
-    /// in-flight batches, and the current simulation clock.
-    /// [`in_flight_wait`](Self::in_flight_wait) then reads
-    /// `finish_sum[i] - batches[i] * now` — the exact wall-clock
-    /// seconds of in-flight service left — instead of zero. Views
-    /// built without this call (frozen references, pre-fleet callers)
-    /// keep the legacy estimator unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slice's length differs from the counter
-    /// arrays'.
-    pub fn with_in_flight_decay(
+    /// Panics if any slice's length differs from the counter arrays'.
+    pub fn with_estimates(
         mut self,
+        work: &'a [f64],
+        speed: &'a [f64],
         finish_sum: &'a [f64],
         batches: &'a [usize],
         now: f64,
     ) -> Self {
+        let n = self.queued.len();
         assert!(
-            finish_sum.len() == self.queued.len() && batches.len() == self.queued.len(),
-            "decay arrays must match the counter arrays' length"
+            work.len() == n && speed.len() == n && finish_sum.len() == n && batches.len() == n,
+            "estimator arrays must match the counter arrays' length"
         );
-        let est = self.est.get_or_insert(Estimates::NONE);
-        est.finish_sum = Some(finish_sum);
-        est.batches = Some(batches);
-        est.now = now;
+        self.est = Some(Estimates {
+            work,
+            speed,
+            finish_sum,
+            batches,
+            now,
+        });
         self
     }
 
@@ -287,44 +215,36 @@ impl<'a> ReplicaLoads<'a> {
         self.free_units[i]
     }
 
-    /// Replica `i`'s total outstanding queries (the
-    /// [`ReplicaSnapshot::load`] metric).
+    /// Replica `i`'s total outstanding queries, queued plus in flight:
+    /// the load metric [`JoinShortestQueue`] and [`PowerOfTwoChoices`]
+    /// compare.
     pub fn load(&self, i: usize) -> usize {
         self.queued[i] + self.in_flight[i]
     }
 
-    /// Remaining expected work on replica `i` in **baseline seconds**
+    /// Queued expected work on replica `i` in **baseline seconds**
     /// (divide by [`speed`](Self::speed) for wall clock; module docs
-    /// spell out the estimator and its units). With the decay columns
-    /// attached this covers queued entries only; without them it also
-    /// carries in-flight batches at their full booked baseline time.
-    /// Reads 0.0 when the view was built without estimates.
+    /// spell out the estimator and its units). Reads 0.0 when the view
+    /// was built without estimates.
     pub fn remaining_work(&self, i: usize) -> f64 {
-        self.est.and_then(|e| e.work).map_or(0.0, |w| w[i])
+        self.est.map_or(0.0, |e| e.work[i])
     }
 
     /// Replica `i`'s service-rate multiplier (1.0 when the view was
     /// built without estimates).
     pub fn speed(&self, i: usize) -> f64 {
-        self.est.and_then(|e| e.speed).map_or(1.0, |s| s[i])
+        self.est.map_or(1.0, |e| e.speed[i])
     }
 
     /// Decayed wall-clock seconds until replica `i`'s in-flight batches
     /// finish: `finish_sum - batches * now`, already speed-scaled.
-    /// Reads 0.0 when the decay columns are not attached
-    /// ([`with_in_flight_decay`](Self::with_in_flight_decay)).
+    /// Reads 0.0 when the view was built without estimates.
     pub fn in_flight_wait(&self, i: usize) -> f64 {
-        match self.est {
-            // Clamp: finish times are >= now by construction, but the
-            // incremental sum can carry float dust after many updates.
-            Some(Estimates {
-                finish_sum: Some(fs),
-                batches: Some(b),
-                now,
-                ..
-            }) => (fs[i] - b[i] as f64 * now).max(0.0),
-            _ => 0.0,
-        }
+        // Clamp: finish times are >= now by construction, but the
+        // incremental sum can carry float dust after many updates.
+        self.est.map_or(0.0, |e| {
+            (e.finish_sum[i] - e.batches[i] as f64 * e.now).max(0.0)
+        })
     }
 
     /// Expected wall-clock drain time of replica `i`'s outstanding
@@ -335,19 +255,6 @@ impl<'a> ReplicaLoads<'a> {
     /// is already wall clock (module docs).
     pub fn expected_wait(&self, i: usize) -> f64 {
         self.remaining_work(i) / self.speed(i) + self.in_flight_wait(i)
-    }
-
-    /// Materializes replica `i`'s [`ReplicaSnapshot`] (the slow-path
-    /// bridge used by the default [`Router::route_indexed`]).
-    pub fn snapshot(&self, i: usize) -> ReplicaSnapshot {
-        ReplicaSnapshot {
-            queued: self.queued[i],
-            in_flight: self.in_flight[i],
-            free_units: self.free_units[i],
-            remaining_work: self.remaining_work(i),
-            speed: self.speed(i),
-            in_flight_wait: self.in_flight_wait(i),
-        }
     }
 }
 
@@ -469,47 +376,27 @@ impl RouterState {
 /// being reproducible. All randomness must come from
 /// [`RouterState::next_u64`].
 ///
-/// The returned index must be `< replicas.len()`; the simulator panics
-/// otherwise. `replicas` is never empty.
+/// The returned index must be `< loads.len()`; the simulator panics
+/// otherwise. `loads` is never empty.
 pub trait Router: std::fmt::Debug + Send + Sync {
     /// Short name for reports.
     fn name(&self) -> String;
 
-    /// Chooses a replica index for one arriving query. `ctx` carries
-    /// the query's identity and its prior stages' replica choices;
-    /// state-oblivious routers ignore it.
+    /// Chooses a replica index for one arriving query by probing the
+    /// group's per-replica counters. `ctx` carries the query's identity
+    /// and its prior stages' replica choices; state-oblivious routers
+    /// ignore it.
     fn route(
-        &self,
-        replicas: &[ReplicaSnapshot],
-        ctx: &RoutingCtx<'_>,
-        state: &mut RouterState,
-    ) -> usize;
-
-    /// Fast-path form of [`route`](Self::route): chooses a replica by
-    /// probing the simulator's per-replica counter arrays directly.
-    ///
-    /// The default builds a snapshot per replica and delegates to
-    /// `route`, so implementing `route` alone is always correct; the
-    /// built-in routers override this to avoid materializing snapshots
-    /// on the per-query hot path. An override must make exactly the
-    /// decision `route` would make on the equivalent snapshots
-    /// (including tie-breaking and [`RouterState`] consumption), or
-    /// `serve` and `serve_routed` results diverge between the two
-    /// entry points.
-    fn route_indexed(
         &self,
         loads: &ReplicaLoads<'_>,
         ctx: &RoutingCtx<'_>,
         state: &mut RouterState,
-    ) -> usize {
-        let snapshots: Vec<ReplicaSnapshot> = (0..loads.len()).map(|i| loads.snapshot(i)).collect();
-        self.route(&snapshots, ctx, state)
-    }
+    ) -> usize;
 
     /// Whether this router ever reads the expected-work estimator
-    /// signals ([`ReplicaSnapshot::remaining_work`],
-    /// [`ReplicaSnapshot::speed`], [`ReplicaSnapshot::in_flight_wait`]
-    /// and their [`ReplicaLoads`] accessors). When `false`, the
+    /// signals ([`ReplicaLoads::remaining_work`],
+    /// [`ReplicaLoads::speed`], [`ReplicaLoads::in_flight_wait`] and
+    /// [`ReplicaLoads::expected_wait`]). When `false`, the
     /// simulator skips maintaining the estimator arrays entirely on
     /// the per-event hot path and offers loads without them — results
     /// are unchanged because the router never looks.
@@ -548,15 +435,6 @@ impl Router for RoundRobin {
 
     fn route(
         &self,
-        replicas: &[ReplicaSnapshot],
-        _ctx: &RoutingCtx<'_>,
-        state: &mut RouterState,
-    ) -> usize {
-        state.cycle(replicas.len())
-    }
-
-    fn route_indexed(
-        &self,
         loads: &ReplicaLoads<'_>,
         _ctx: &RoutingCtx<'_>,
         state: &mut RouterState,
@@ -587,22 +465,6 @@ impl Router for JoinShortestQueue {
     }
 
     fn route(
-        &self,
-        replicas: &[ReplicaSnapshot],
-        _ctx: &RoutingCtx<'_>,
-        state: &mut RouterState,
-    ) -> usize {
-        let _ = state;
-        let mut best = 0;
-        for (i, r) in replicas.iter().enumerate().skip(1) {
-            if r.load() < replicas[best].load() {
-                best = i;
-            }
-        }
-        best
-    }
-
-    fn route_indexed(
         &self,
         loads: &ReplicaLoads<'_>,
         _ctx: &RoutingCtx<'_>,
@@ -645,29 +507,6 @@ impl Router for PowerOfTwoChoices {
 
     fn route(
         &self,
-        replicas: &[ReplicaSnapshot],
-        _ctx: &RoutingCtx<'_>,
-        state: &mut RouterState,
-    ) -> usize {
-        let n = replicas.len();
-        if n == 1 {
-            return 0;
-        }
-        let i = (state.next_u64() % n as u64) as usize;
-        let mut j = (state.next_u64() % (n as u64 - 1)) as usize;
-        if j >= i {
-            j += 1;
-        }
-        let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-        if replicas[hi].load() < replicas[lo].load() {
-            hi
-        } else {
-            lo
-        }
-    }
-
-    fn route_indexed(
-        &self,
         loads: &ReplicaLoads<'_>,
         _ctx: &RoutingCtx<'_>,
         state: &mut RouterState,
@@ -700,10 +539,10 @@ impl Router for PowerOfTwoChoices {
 
 /// Least-work-left routing: join the replica with the most free
 /// resource units — the one that can start new work soonest — breaking
-/// ties by fewest outstanding queries ([`ReplicaSnapshot::load`]), then
+/// ties by fewest outstanding queries ([`ReplicaLoads::load`]), then
 /// by lowest index.
 ///
-/// This is the router that uses [`ReplicaSnapshot::free_units`]: on
+/// This is the router that uses [`ReplicaLoads::free_units`]: on
 /// batched fleets, query counts mislead — a replica with eight queries
 /// riding *one* in-service batch will free all of them at once and
 /// holds no more units than a replica grinding one long query — while
@@ -733,27 +572,6 @@ impl Router for LeastWorkLeft {
     }
 
     fn route(
-        &self,
-        replicas: &[ReplicaSnapshot],
-        _ctx: &RoutingCtx<'_>,
-        state: &mut RouterState,
-    ) -> usize {
-        let _ = state;
-        let mut best = 0;
-        for (i, r) in replicas.iter().enumerate().skip(1) {
-            if Self::better(
-                replicas[best].free_units,
-                replicas[best].load(),
-                r.free_units,
-                r.load(),
-            ) {
-                best = i;
-            }
-        }
-        best
-    }
-
-    fn route_indexed(
         &self,
         loads: &ReplicaLoads<'_>,
         _ctx: &RoutingCtx<'_>,
@@ -818,27 +636,6 @@ impl Router for ExpectedWait {
 
     fn route(
         &self,
-        replicas: &[ReplicaSnapshot],
-        _ctx: &RoutingCtx<'_>,
-        state: &mut RouterState,
-    ) -> usize {
-        let _ = state;
-        let mut best = 0;
-        for (i, r) in replicas.iter().enumerate().skip(1) {
-            if Self::better(
-                replicas[best].expected_wait(),
-                replicas[best].load(),
-                r.expected_wait(),
-                r.load(),
-            ) {
-                best = i;
-            }
-        }
-        best
-    }
-
-    fn route_indexed(
-        &self,
         loads: &ReplicaLoads<'_>,
         _ctx: &RoutingCtx<'_>,
         state: &mut RouterState,
@@ -901,25 +698,13 @@ impl<R: Router> Router for Sticky<R> {
 
     fn route(
         &self,
-        replicas: &[ReplicaSnapshot],
-        ctx: &RoutingCtx<'_>,
-        state: &mut RouterState,
-    ) -> usize {
-        match ctx.prior_on_group() {
-            Some(r) if r < replicas.len() => r,
-            _ => self.fallback.route(replicas, ctx, state),
-        }
-    }
-
-    fn route_indexed(
-        &self,
         loads: &ReplicaLoads<'_>,
         ctx: &RoutingCtx<'_>,
         state: &mut RouterState,
     ) -> usize {
         match ctx.prior_on_group() {
             Some(r) if r < loads.len() => r,
-            _ => self.fallback.route_indexed(loads, ctx, state),
+            _ => self.fallback.route(loads, ctx, state),
         }
     }
 
@@ -940,23 +725,65 @@ mod tests {
         RoutingCtx::root(0, 0, 0)
     }
 
-    fn snap(queued: usize, in_flight: usize) -> ReplicaSnapshot {
-        ReplicaSnapshot {
-            queued,
-            in_flight,
-            free_units: 0,
-            remaining_work: 0.0,
-            speed: 1.0,
-            in_flight_wait: 0.0,
+    /// Owned per-replica columns that a test borrows as a
+    /// [`ReplicaLoads`] view.
+    struct Columns {
+        queued: Vec<usize>,
+        in_flight: Vec<usize>,
+        free: Vec<usize>,
+        work: Vec<f64>,
+        speed: Vec<f64>,
+        finish_sum: Vec<f64>,
+        batches: Vec<usize>,
+    }
+
+    impl Columns {
+        /// Replicas given as `(queued, in_flight, free_units)`: idle,
+        /// baseline-speed estimator columns with nothing in flight.
+        fn new(rows: &[(usize, usize, usize)]) -> Self {
+            let n = rows.len();
+            Self {
+                queued: rows.iter().map(|r| r.0).collect(),
+                in_flight: rows.iter().map(|r| r.1).collect(),
+                free: rows.iter().map(|r| r.2).collect(),
+                work: vec![0.0; n],
+                speed: vec![1.0; n],
+                finish_sum: vec![0.0; n],
+                batches: vec![0; n],
+            }
+        }
+
+        /// Replicas given as `(queued, in_flight, work, speed)`.
+        fn waits(rows: &[(usize, usize, f64, f64)]) -> Self {
+            let mut cols = Self::new(&rows.iter().map(|r| (r.0, r.1, 0)).collect::<Vec<_>>());
+            cols.work = rows.iter().map(|r| r.2).collect();
+            cols.speed = rows.iter().map(|r| r.3).collect();
+            cols
+        }
+
+        /// The counter-only view.
+        fn loads(&self) -> ReplicaLoads<'_> {
+            ReplicaLoads::new(&self.queued, &self.in_flight, &self.free)
+        }
+
+        /// The view with every estimator column attached at `now`.
+        fn estimated(&self, now: f64) -> ReplicaLoads<'_> {
+            self.loads().with_estimates(
+                &self.work,
+                &self.speed,
+                &self.finish_sum,
+                &self.batches,
+                now,
+            )
         }
     }
 
     #[test]
     fn round_robin_cycles_in_order() {
-        let replicas = vec![snap(9, 9); 3];
+        let cols = Columns::new(&[(9, 9, 0); 3]);
         let mut state = RouterState::new(0);
         let picks: Vec<usize> = (0..7)
-            .map(|_| RoundRobin.route(&replicas, &ctx(), &mut state))
+            .map(|_| RoundRobin.route(&cols.loads(), &ctx(), &mut state))
             .collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2, 0]);
     }
@@ -964,11 +791,17 @@ mod tests {
     #[test]
     fn jsq_picks_least_loaded_with_stable_ties() {
         let mut state = RouterState::new(0);
-        let replicas = vec![snap(3, 1), snap(0, 2), snap(1, 0)];
-        assert_eq!(JoinShortestQueue.route(&replicas, &ctx(), &mut state), 2);
+        let cols = Columns::new(&[(3, 1, 0), (0, 2, 0), (1, 0, 0)]);
+        assert_eq!(
+            JoinShortestQueue.route(&cols.loads(), &ctx(), &mut state),
+            2
+        );
         // Ties break toward the lowest index.
-        let tied = vec![snap(1, 1), snap(2, 0), snap(0, 2)];
-        assert_eq!(JoinShortestQueue.route(&tied, &ctx(), &mut state), 0);
+        let tied = Columns::new(&[(1, 1, 0), (2, 0, 0), (0, 2, 0)]);
+        assert_eq!(
+            JoinShortestQueue.route(&tied.loads(), &ctx(), &mut state),
+            0
+        );
     }
 
     #[test]
@@ -976,11 +809,11 @@ mod tests {
         let mut state = RouterState::new(42);
         // One empty replica among loaded ones: po2 must pick the empty
         // one whenever it is probed, and always a valid index.
-        let replicas = vec![snap(5, 1), snap(0, 0), snap(5, 1), snap(5, 1)];
+        let cols = Columns::new(&[(5, 1, 0), (0, 0, 0), (5, 1, 0), (5, 1, 0)]);
         let mut hit_empty = 0;
         for _ in 0..200 {
-            let pick = PowerOfTwoChoices.route(&replicas, &ctx(), &mut state);
-            assert!(pick < replicas.len());
+            let pick = PowerOfTwoChoices.route(&cols.loads(), &ctx(), &mut state);
+            assert!(pick < cols.queued.len());
             if pick == 1 {
                 hit_empty += 1;
             }
@@ -992,10 +825,33 @@ mod tests {
     }
 
     #[test]
+    fn po2_pins_its_probe_sequence() {
+        // Loads [4, 2, 5, 2, 6]. The probe pairs (i, j) below are
+        // splitmix64 draws from seed 99 (`i = x % 5`, `j = y % 4`, bumped
+        // past `i`), computed outside this crate; each pick is the
+        // lighter probe, ties to the lower index (probes 1 and 3).
+        let cols = Columns::new(&[(3, 1, 0), (0, 2, 2), (5, 0, 1), (1, 1, 3), (2, 4, 1)]);
+        // (3,0) (2,4) (1,4) (0,4) (1,0) (3,2) (1,3) (1,2)
+        let expected = [3, 2, 1, 0, 1, 3, 1, 1];
+        let mut state = RouterState::new(99);
+        let picks: Vec<usize> = (0..expected.len())
+            .map(|_| PowerOfTwoChoices.route(&cols.loads(), &ctx(), &mut state))
+            .collect();
+        assert_eq!(picks, expected);
+        // Two draws per decision, no more.
+        let mut drained = RouterState::new(99);
+        for _ in 0..2 * expected.len() {
+            drained.next_u64();
+        }
+        assert_eq!(state, drained);
+    }
+
+    #[test]
     fn po2_on_single_replica_is_identity() {
         let mut state = RouterState::new(7);
+        let cols = Columns::new(&[(4, 4, 0)]);
         assert_eq!(
-            PowerOfTwoChoices.route(&[snap(4, 4)], &ctx(), &mut state),
+            PowerOfTwoChoices.route(&cols.loads(), &ctx(), &mut state),
             0
         );
     }
@@ -1011,44 +867,30 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_load_sums_queued_and_in_flight() {
-        assert_eq!(snap(3, 2).load(), 5);
-    }
-
-    fn snap_free(queued: usize, in_flight: usize, free_units: usize) -> ReplicaSnapshot {
-        ReplicaSnapshot {
-            queued,
-            in_flight,
-            free_units,
-            remaining_work: 0.0,
-            speed: 1.0,
-            in_flight_wait: 0.0,
-        }
-    }
-
-    fn snap_wait(queued: usize, in_flight: usize, work: f64, speed: f64) -> ReplicaSnapshot {
-        ReplicaSnapshot {
-            queued,
-            in_flight,
-            free_units: 0,
-            remaining_work: work,
-            speed,
-            in_flight_wait: 0.0,
-        }
+    fn loads_load_sums_queued_and_in_flight() {
+        let cols = Columns::new(&[(3, 2, 1), (0, 4, 0)]);
+        assert_eq!(cols.loads().load(0), 5);
+        assert_eq!(cols.loads().load(1), 4);
     }
 
     #[test]
     fn least_work_left_prefers_free_units_then_fewest_outstanding() {
         let mut state = RouterState::new(0);
         // Most free units wins even against a shorter queue.
-        let replicas = vec![snap_free(0, 1, 0), snap_free(3, 2, 2), snap_free(1, 1, 1)];
-        assert_eq!(LeastWorkLeft.route(&replicas, &ctx(), &mut state), 1);
+        let cols = Columns::new(&[(0, 1, 0), (3, 2, 2), (1, 1, 1)]);
+        assert_eq!(LeastWorkLeft.route(&cols.loads(), &ctx(), &mut state), 1);
         // Equal free units: fewest outstanding queries breaks the tie.
-        let tied_units = vec![snap_free(4, 0, 1), snap_free(1, 1, 1), snap_free(0, 3, 1)];
-        assert_eq!(LeastWorkLeft.route(&tied_units, &ctx(), &mut state), 1);
+        let tied_units = Columns::new(&[(4, 0, 1), (1, 1, 1), (0, 3, 1)]);
+        assert_eq!(
+            LeastWorkLeft.route(&tied_units.loads(), &ctx(), &mut state),
+            1
+        );
         // Full ties resolve to the lowest index.
-        let all_tied = vec![snap_free(1, 1, 1); 3];
-        assert_eq!(LeastWorkLeft.route(&all_tied, &ctx(), &mut state), 0);
+        let all_tied = Columns::new(&[(1, 1, 1); 3]);
+        assert_eq!(
+            LeastWorkLeft.route(&all_tied.loads(), &ctx(), &mut state),
+            0
+        );
     }
 
     #[test]
@@ -1056,23 +898,25 @@ mod tests {
         let mut state = RouterState::new(0);
         // Same booked work everywhere: the fastest replica drains
         // soonest and wins.
-        let same_work = vec![
-            snap_wait(2, 1, 0.030, 1.0),
-            snap_wait(2, 1, 0.030, 0.5),
-            snap_wait(2, 1, 0.030, 1.5),
-        ];
-        assert_eq!(ExpectedWait.route(&same_work, &ctx(), &mut state), 2);
+        let same_work =
+            Columns::waits(&[(2, 1, 0.030, 1.0), (2, 1, 0.030, 0.5), (2, 1, 0.030, 1.5)]);
+        assert_eq!(
+            ExpectedWait.route(&same_work.estimated(0.0), &ctx(), &mut state),
+            2
+        );
         // A shorter queue on a slow replica loses to a longer queue on
         // a fast one — the signal JSQ cannot see.
-        let mixed = vec![snap_wait(2, 0, 0.020, 0.5), snap_wait(3, 0, 0.030, 1.0)];
-        assert_eq!(ExpectedWait.route(&mixed, &ctx(), &mut state), 1);
+        let mixed = Columns::waits(&[(2, 0, 0.020, 0.5), (3, 0, 0.030, 1.0)]);
+        assert_eq!(
+            ExpectedWait.route(&mixed.estimated(0.0), &ctx(), &mut state),
+            1
+        );
         // Exact wait ties break by fewest outstanding, then index.
-        let tied = vec![
-            snap_wait(3, 0, 0.010, 1.0),
-            snap_wait(1, 0, 0.010, 1.0),
-            snap_wait(1, 0, 0.010, 1.0),
-        ];
-        assert_eq!(ExpectedWait.route(&tied, &ctx(), &mut state), 1);
+        let tied = Columns::waits(&[(3, 0, 0.010, 1.0), (1, 0, 0.010, 1.0), (1, 0, 0.010, 1.0)]);
+        assert_eq!(
+            ExpectedWait.route(&tied.estimated(0.0), &ctx(), &mut state),
+            1
+        );
     }
 
     #[test]
@@ -1087,15 +931,15 @@ mod tests {
         let mut a = RouterState::new(1);
         let mut b = RouterState::new(1);
         assert_eq!(
-            ExpectedWait.route_indexed(&loads, &ctx(), &mut a),
-            JoinShortestQueue.route_indexed(&loads, &ctx(), &mut b),
+            ExpectedWait.route(&loads, &ctx(), &mut a),
+            JoinShortestQueue.route(&loads, &ctx(), &mut b),
         );
     }
 
     #[test]
     fn sticky_reuses_the_prior_choice_on_the_same_group() {
         let mut state = RouterState::new(0);
-        let replicas = vec![snap(9, 9), snap(0, 0), snap(9, 9)];
+        let cols = Columns::new(&[(9, 9, 0), (0, 0, 0), (9, 9, 0)]);
         // Stage 2 routing for a query whose stage-0 choice (group 0)
         // was replica 2 and stage-1 choice (group 1) was replica 0.
         let prior = [2u32, 0];
@@ -1103,23 +947,23 @@ mod tests {
         let ctx = RoutingCtx::new(7, 2, 0, &prior, &groups);
         // Affinity overrides load: replica 1 is empty but 2 holds the
         // query's state.
-        assert_eq!(Sticky::new().route(&replicas, &ctx, &mut state), 2);
+        assert_eq!(Sticky::new().route(&cols.loads(), &ctx, &mut state), 2);
         // A different group (1) only has the stage-1 record: replica 0.
         let ctx_g1 = RoutingCtx::new(7, 2, 1, &prior, &groups);
-        assert_eq!(Sticky::new().route(&replicas, &ctx_g1, &mut state), 0);
+        assert_eq!(Sticky::new().route(&cols.loads(), &ctx_g1, &mut state), 0);
     }
 
     #[test]
     fn sticky_falls_back_on_first_touch() {
         let mut state = RouterState::new(0);
-        let replicas = vec![snap(9, 9), snap(0, 0)];
+        let cols = Columns::new(&[(9, 9, 0), (0, 0, 0)]);
         // No prior stages: the JSQ fallback picks the empty replica.
         let first = RoutingCtx::root(3, 0, 0);
-        assert_eq!(Sticky::new().route(&replicas, &first, &mut state), 1);
+        assert_eq!(Sticky::new().route(&cols.loads(), &first, &mut state), 1);
         // An explicit fallback router is honored too.
         let rr = Sticky::with_fallback(RoundRobin);
-        assert_eq!(rr.route(&replicas, &first, &mut state), 0);
-        assert_eq!(rr.route(&replicas, &first, &mut state), 1);
+        assert_eq!(rr.route(&cols.loads(), &first, &mut state), 0);
+        assert_eq!(rr.route(&cols.loads(), &first, &mut state), 1);
     }
 
     #[test]
@@ -1137,131 +981,41 @@ mod tests {
     }
 
     #[test]
-    fn indexed_routing_matches_snapshot_routing_for_every_builtin() {
-        // The fast path must make the identical decision (and consume
-        // identical RouterState randomness) as the snapshot path.
-        let routers: [&dyn Router; 6] = [
-            &RoundRobin,
-            &JoinShortestQueue,
-            &PowerOfTwoChoices,
-            &LeastWorkLeft,
-            &ExpectedWait,
-            &Sticky::<JoinShortestQueue>::new(),
-        ];
-        let queued = [3usize, 0, 5, 1, 2];
-        let in_flight = [1usize, 2, 0, 1, 4];
-        let free_units = [0usize, 2, 1, 3, 1];
-        let work = [0.02f64, 0.0, 0.05, 0.004, 0.02];
-        let speed = [1.0f64, 0.6, 1.0, 0.6, 1.5];
-        let snapshots: Vec<ReplicaSnapshot> = (0..queued.len())
-            .map(|i| ReplicaSnapshot {
-                queued: queued[i],
-                in_flight: in_flight[i],
-                free_units: free_units[i],
-                remaining_work: work[i],
-                speed: speed[i],
-                in_flight_wait: 0.0,
-            })
-            .collect();
-        let loads =
-            ReplicaLoads::new(&queued, &in_flight, &free_units).with_estimates(&work, &speed);
-        for router in routers {
-            let mut a = RouterState::new(99);
-            let mut b = RouterState::new(99);
-            for _ in 0..64 {
-                let via_snapshots = router.route(&snapshots, &ctx(), &mut a);
-                let via_loads = router.route_indexed(&loads, &ctx(), &mut b);
-                assert_eq!(via_snapshots, via_loads, "router {}", router.name());
-            }
-            assert_eq!(a, b, "router {} diverged RouterState", router.name());
-        }
-    }
-
-    #[test]
-    fn default_route_indexed_delegates_to_route() {
-        // A custom router implementing only `route` gets a correct
-        // indexed path for free.
-        #[derive(Debug)]
-        struct LastReplica;
-        impl Router for LastReplica {
-            fn name(&self) -> String {
-                "last".into()
-            }
-            fn route(
-                &self,
-                replicas: &[ReplicaSnapshot],
-                _ctx: &RoutingCtx<'_>,
-                _state: &mut RouterState,
-            ) -> usize {
-                replicas.len() - 1
-            }
-        }
-        let queued = [0usize, 0, 0];
-        let in_flight = [0usize; 3];
-        let free_units = [1usize; 3];
-        let mut state = RouterState::new(0);
-        let pick = LastReplica.route_indexed(
-            &ReplicaLoads::new(&queued, &in_flight, &free_units),
-            &ctx(),
-            &mut state,
-        );
-        assert_eq!(pick, 2);
-    }
-
-    #[test]
     fn expected_wait_units_on_a_two_speed_fleet() {
         // Units pin: `remaining_work` is base-time and is divided by
         // speed; `in_flight_wait` is wall-clock and is NOT. Two
         // replicas with identical booked signals but different speeds
         // must differ only through the queued-work term.
-        let queued = [2usize, 2];
-        let in_flight = [1usize, 1];
-        let free_units = [0usize, 0];
-        let work = [0.040f64, 0.040]; // base seconds of queued work
-        let speed = [1.0f64, 0.5]; // new-gen vs old-gen replica
-        let finish_sum = [10.025f64, 10.025]; // one batch each, finishes at t=10.025
-        let batches = [1usize, 1];
-        let now = 10.0;
-        let loads = ReplicaLoads::new(&queued, &in_flight, &free_units)
-            .with_estimates(&work, &speed)
-            .with_in_flight_decay(&finish_sum, &batches, now);
+        let mut cols = Columns::waits(&[(2, 1, 0.040, 1.0), (2, 1, 0.040, 0.5)]);
+        cols.finish_sum = vec![10.025, 10.025]; // one batch each, finishes at t=10.025
+        cols.batches = vec![1, 1];
+        let loads = cols.estimated(10.0);
         // Replica 0: 0.040 / 1.0 + 0.025 = 0.065 s.
+        assert!((loads.in_flight_wait(0) - 0.025).abs() < 1e-12);
         assert!((loads.expected_wait(0) - 0.065).abs() < 1e-12);
         // Replica 1: 0.040 / 0.5 + 0.025 = 0.105 s — the wall-clock
         // in-flight residual is identical (the batch's finish time
         // already folded the slow speed in when it was scheduled).
+        assert!((loads.in_flight_wait(1) - 0.025).abs() < 1e-12);
         assert!((loads.expected_wait(1) - 0.105).abs() < 1e-12);
-        // Snapshots agree with the indexed accessors.
-        let snap0 = loads.snapshot(0);
-        assert!((snap0.in_flight_wait - 0.025).abs() < 1e-12);
-        assert!((snap0.expected_wait() - loads.expected_wait(0)).abs() < 1e-15);
         // And the router picks the fast replica.
         let mut state = RouterState::new(0);
-        assert_eq!(ExpectedWait.route_indexed(&loads, &ctx(), &mut state), 0);
+        assert_eq!(ExpectedWait.route(&loads, &ctx(), &mut state), 0);
     }
 
     #[test]
     fn in_flight_wait_decays_to_zero_at_batch_finish() {
-        let queued = [0usize];
-        let in_flight = [4usize];
-        let free_units = [0usize];
-        let finish_sum = [7.5f64];
-        let batches = [1usize];
-        let at = |now: f64| {
-            ReplicaLoads::new(&queued, &in_flight, &free_units)
-                .with_in_flight_decay(&finish_sum, &batches, now)
-                .in_flight_wait(0)
-        };
+        let mut cols = Columns::new(&[(0, 4, 0)]);
+        cols.finish_sum = vec![7.5];
+        cols.batches = vec![1];
+        let at = |now: f64| cols.estimated(now).in_flight_wait(0);
         assert!((at(7.0) - 0.5).abs() < 1e-12);
         assert!((at(7.4) - 0.1).abs() < 1e-12);
         assert_eq!(at(7.5), 0.0);
         // Float dust past the finish clamps to zero, never negative.
         assert_eq!(at(7.5 + 1e-9), 0.0);
-        // Without the decay columns the wait reads zero.
-        assert_eq!(
-            ReplicaLoads::new(&queued, &in_flight, &free_units).in_flight_wait(0),
-            0.0
-        );
+        // Without the estimator columns the wait reads zero.
+        assert_eq!(cols.loads().in_flight_wait(0), 0.0);
     }
 
     #[test]
@@ -1284,7 +1038,7 @@ mod tests {
             }
             fn route(
                 &self,
-                _replicas: &[ReplicaSnapshot],
+                _loads: &ReplicaLoads<'_>,
                 _ctx: &RoutingCtx<'_>,
                 _state: &mut RouterState,
             ) -> usize {
@@ -1301,15 +1055,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "decay arrays must match")]
+    #[should_panic(expected = "match the counter arrays")]
     fn replica_loads_rejects_mismatched_decay_arrays() {
-        let _ =
-            ReplicaLoads::new(&[1, 2], &[0, 0], &[1, 1]).with_in_flight_decay(&[0.0], &[0, 0], 0.0);
+        let _ = ReplicaLoads::new(&[1, 2], &[0, 0], &[1, 1]).with_estimates(
+            &[0.0, 0.0],
+            &[1.0, 1.0],
+            &[0.0],
+            &[0, 0],
+            0.0,
+        );
     }
 
     #[test]
     #[should_panic(expected = "match the counter arrays")]
     fn replica_loads_rejects_mismatched_estimates() {
-        let _ = ReplicaLoads::new(&[1, 2], &[0, 0], &[1, 1]).with_estimates(&[0.0], &[1.0, 1.0]);
+        let _ = ReplicaLoads::new(&[1, 2], &[0, 0], &[1, 1]).with_estimates(
+            &[0.0],
+            &[1.0, 1.0],
+            &[0.0, 0.0],
+            &[0, 0],
+            0.0,
+        );
     }
 }

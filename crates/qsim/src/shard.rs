@@ -332,8 +332,9 @@ fn run_threaded(
     })
 }
 
-/// Deterministic merge of the per-stage shard outcomes — mirrors the
-/// serial loop's `finish` arithmetic term for term.
+/// Deterministic merge of the per-stage shard outcomes into the
+/// serial loop's result, through the same [`ShardOutcome::into_result`]
+/// arithmetic.
 fn merge(
     spec: &PipelineSpec,
     arrivals: &dyn ArrivalProcess,
@@ -341,7 +342,6 @@ fn merge(
 ) -> SimResult {
     let arrival_span = outcomes[0].arrival_span;
     let last_time = outcomes.iter().fold(0.0f64, |m, o| m.max(o.last_time));
-    let span = last_time.max(f64::MIN_POSITIVE);
     let launches: u64 = outcomes.iter().map(|o| o.launches).sum();
     let served: u64 = outcomes.iter().map(|o| o.served).sum();
     // Each replica slot is owned by exactly one shard (distinct stage
@@ -355,59 +355,20 @@ fn merge(
         }
     }
     let tail = outcomes.pop().expect("at least one shard ran");
-
-    let resources = spec.resources();
-    let mut slot_base = Vec::with_capacity(resources.len());
-    let mut base = 0usize;
-    for r in resources {
-        slot_base.push(base);
-        base += r.replicas();
+    // Eligibility guarantees an open loop, so the rate bound always
+    // applies.
+    ShardOutcome {
+        busy_unit_seconds,
+        last_time,
+        launches,
+        served,
+        arrival_span,
+        ..tail
     }
-    let utilization: Vec<f64> = resources
-        .iter()
-        .enumerate()
-        .map(|(g, r)| {
-            let base = slot_base[g];
-            let busy: f64 = busy_unit_seconds[base..base + r.replicas()].iter().sum();
-            (busy / (r.total_units() as f64 * span)).min(1.0)
-        })
-        .collect();
-    let replica_utilization: Vec<Vec<f64>> = if spec.has_replication() {
-        resources
-            .iter()
-            .enumerate()
-            .map(|(g, r)| {
-                let base = slot_base[g];
-                busy_unit_seconds[base..base + r.replicas()]
-                    .iter()
-                    .zip(r.profiles())
-                    .map(|(&busy, p)| (busy / (p.capacity as f64 * span)).min(1.0))
-                    .collect()
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    // Saturation mirrors the serial test: eligibility guarantees an
-    // open loop, so the rate-overload term always applies.
-    let offered = arrivals.mean_rate();
-    let rate_overload = offered > spec.max_qps_at_full_batch();
-    let saturated = rate_overload || last_time > arrival_span * 1.5 + spec.service_floor();
-
-    let mean_batch = if launches > 0 {
-        served as f64 / launches as f64
-    } else {
-        1.0
-    };
-    SimResult::new(
-        tail.latency,
-        tail.qps,
-        tail.completed,
-        saturated,
-        utilization,
+    .into_result(
+        spec,
+        arrivals.mean_rate(),
+        Some(spec.max_qps_at_full_batch()),
     )
-    .with_mean_batch(mean_batch)
-    .with_replica_utilization(replica_utilization)
     .with_lifecycle_outcome(0, 0, 0.0, Vec::new())
 }

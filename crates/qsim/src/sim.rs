@@ -1098,6 +1098,68 @@ pub(crate) struct ShardOutcome {
     pub(crate) arrival_span: f64,
 }
 
+impl ShardOutcome {
+    /// The result arithmetic shared by the serial loop's `finish` and
+    /// the sharded merge: per-group and per-replica utilization over
+    /// the run's span, the mean launched batch, and the saturation
+    /// test.
+    ///
+    /// Utilization per resource group aggregates across its replicas
+    /// (identical to the per-pool number when replicas = 1); the
+    /// per-replica breakdown is reported only for replicated pipelines
+    /// so single-replica results stay bit-identical to the pre-cluster
+    /// simulator.
+    ///
+    /// Saturation: the offered rate exceeds `rate_bound` (the
+    /// fully-batched analytic capacity; `None` for closed loops, which
+    /// self-regulate), or the drain time greatly exceeds the arrival
+    /// span.
+    pub(crate) fn into_result(
+        self,
+        spec: &PipelineSpec,
+        offered_qps: f64,
+        rate_bound: Option<f64>,
+    ) -> SimResult {
+        let span = self.last_time.max(f64::MIN_POSITIVE);
+        let resources = spec.resources();
+        let replicated = spec.has_replication();
+        let mut utilization = Vec::with_capacity(resources.len());
+        let mut replica_utilization = Vec::new();
+        let mut base = 0;
+        for r in resources {
+            let busy = &self.busy_unit_seconds[base..base + r.replicas()];
+            base += r.replicas();
+            let total: f64 = busy.iter().sum();
+            utilization.push((total / (r.total_units() as f64 * span)).min(1.0));
+            if replicated {
+                replica_utilization.push(
+                    busy.iter()
+                        .zip(r.profiles())
+                        .map(|(&b, p)| (b / (p.capacity as f64 * span)).min(1.0))
+                        .collect(),
+                );
+            }
+        }
+        let rate_overload = rate_bound.is_some_and(|bound| offered_qps > bound);
+        let saturated =
+            rate_overload || self.last_time > self.arrival_span * 1.5 + spec.service_floor();
+        let mean_batch = if self.launches > 0 {
+            self.served as f64 / self.launches as f64
+        } else {
+            1.0
+        };
+        SimResult::new(
+            self.latency,
+            self.qps,
+            self.completed,
+            saturated,
+            utilization,
+        )
+        .with_mean_batch(mean_batch)
+        .with_replica_utilization(replica_utilization)
+    }
+}
+
 impl<'a> Sim<'a> {
     fn new(
         spec: &'a PipelineSpec,
@@ -1769,10 +1831,9 @@ impl<'a> Sim<'a> {
     /// the stage's resource group, recording the choice in the query's
     /// routing history (the [`RoutingCtx`] affinity signal).
     ///
-    /// Replicated groups go through [`Router::route_indexed`], probing
-    /// the incrementally-maintained `queued`/`in_flight`/`free` counter
-    /// arrays and the `remaining_work`/`slot_speed` estimator arrays
-    /// directly — no snapshot materialization per decision.
+    /// Replicated groups go through [`Router::route`], probing the
+    /// incrementally-maintained `queued`/`in_flight`/`free` counter
+    /// arrays and the estimator columns directly.
     /// Returns `None` when lifecycle masking leaves the group with no
     /// routable (up or warming) replica — the caller sheds, parks, or
     /// fails the run per the [`FailurePolicy`].
@@ -1811,16 +1872,13 @@ impl<'a> Sim<'a> {
                 &self.free[base..base + replicas],
             );
             if self.track_est {
-                loads = loads
-                    .with_estimates(
-                        &self.queued_work[base..base + replicas],
-                        &self.cur_speed[base..base + replicas],
-                    )
-                    .with_in_flight_decay(
-                        &self.inflight_finish[base..base + replicas],
-                        &self.inflight_count[base..base + replicas],
-                        now,
-                    );
+                loads = loads.with_estimates(
+                    &self.queued_work[base..base + replicas],
+                    &self.cur_speed[base..base + replicas],
+                    &self.inflight_finish[base..base + replicas],
+                    &self.inflight_count[base..base + replicas],
+                    now,
+                );
             }
             let history = query * num_stages;
             let prior: &[u32] = if self.track_hist {
@@ -1831,7 +1889,7 @@ impl<'a> Sim<'a> {
             let ctx = RoutingCtx::new(query, stage_idx, group, prior, &self.stage_groups);
             let pick = self
                 .router
-                .route_indexed(&loads, &ctx, &mut self.router_states[group]);
+                .route(&loads, &ctx, &mut self.router_states[group]);
             assert!(
                 pick < replicas,
                 "router returned replica {pick} of {replicas}"
@@ -1908,14 +1966,18 @@ impl<'a> Sim<'a> {
             let mut loads =
                 ReplicaLoads::new(&self.mask_queued, &self.mask_inflight, &self.mask_free);
             if self.track_est {
-                loads = loads
-                    .with_estimates(&self.mask_work, &self.mask_speed)
-                    .with_in_flight_decay(&self.mask_finish, &self.mask_count, now);
+                loads = loads.with_estimates(
+                    &self.mask_work,
+                    &self.mask_speed,
+                    &self.mask_finish,
+                    &self.mask_count,
+                    now,
+                );
             }
             let ctx = RoutingCtx::new(query, stage_idx, group, &self.mask_hist, &self.stage_groups);
             let pick = self
                 .router
-                .route_indexed(&loads, &ctx, &mut self.router_states[group]);
+                .route(&loads, &ctx, &mut self.router_states[group]);
             assert!(
                 pick < self.mask_idx.len(),
                 "router returned replica {pick} of {} available",
@@ -3026,7 +3088,7 @@ impl<'a> Sim<'a> {
     }
 
     /// Extracts what this shard contributes to the merged result.
-    fn finish_shard(mut self) -> ShardOutcome {
+    fn finish_shard(&mut self) -> ShardOutcome {
         let (latency, qps) = self.collect_latency();
         ShardOutcome {
             busy_unit_seconds: std::mem::take(&mut self.busy_unit_seconds),
@@ -3114,70 +3176,20 @@ impl<'a> Sim<'a> {
             let end = self.integral_t;
             self.close_window(end);
         }
-        // Collect post-warmup latencies: already streamed into the
-        // completion-time sinks at scale, replayed in query order from
-        // the finish vector otherwise (identical multisets — every
-        // accessor agrees).
-        let arrival_span = self.arrival_span;
-        let (latency, qps) = self.collect_latency();
-
-        let span = self.last_time.max(f64::MIN_POSITIVE);
-        // Utilization per resource group aggregates across its replicas
-        // (identical to the per-pool number when replicas = 1); the
-        // per-replica breakdown is reported only for replicated
-        // pipelines so single-replica results stay bit-identical to the
-        // pre-cluster simulator.
-        let resources = self.spec.resources();
-        let utilization: Vec<f64> = resources
-            .iter()
-            .enumerate()
-            .map(|(g, r)| {
-                let base = self.slot_base[g];
-                let busy: f64 = self.busy_unit_seconds[base..base + r.replicas()]
-                    .iter()
-                    .sum();
-                (busy / (r.total_units() as f64 * span)).min(1.0)
-            })
-            .collect();
-        let replica_utilization: Vec<Vec<f64>> = if self.spec.has_replication() {
-            resources
-                .iter()
-                .enumerate()
-                .map(|(g, r)| {
-                    let base = self.slot_base[g];
-                    self.busy_unit_seconds[base..base + r.replicas()]
-                        .iter()
-                        .zip(&self.slot_capacity[base..base + r.replicas()])
-                        .map(|(&busy, &capacity)| (busy / (capacity as f64 * span)).min(1.0))
-                        .collect()
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-
-        // Saturation: open-loop offered load beyond the fully-batched
-        // analytic capacity (identical to `max_qps()` for per-query
-        // stages), or the drain time greatly exceeds the arrival span.
-        // Closed loops self-regulate, so only the backlog test applies.
-        let offered = self.arrivals.mean_rate();
         // Multi-path runs compare the offered rate against the *best
         // single path's* capacity (the concatenated spec's own bound
         // sums every path's load as if each query took all of them);
         // for a single-path set the figure is bit-equal to the spec's.
+        // Closed loops self-regulate, so only the backlog test applies.
         let full_batch_qps = match self.mp.as_ref() {
             Some(mp) => mp.max_full_batch_qps,
             None => self.spec.max_qps_at_full_batch(),
         };
-        let rate_overload = self.think_time_s.is_none() && offered > full_batch_qps;
-        let saturated =
-            rate_overload || self.last_time > arrival_span * 1.5 + self.spec.service_floor();
-
-        let mean_batch = if self.launches > 0 {
-            self.served as f64 / self.launches as f64
-        } else {
-            1.0
-        };
+        let rate_bound = self.think_time_s.is_none().then_some(full_batch_qps);
+        let offered = self.arrivals.mean_rate();
+        let result = self
+            .finish_shard()
+            .into_result(self.spec, offered, rate_bound);
         let (path_stats, admission_shed) = match self.mp.take() {
             Some(mp) => {
                 let MultipathRt {
@@ -3209,9 +3221,7 @@ impl<'a> Sim<'a> {
             }
             None => (Vec::new(), 0),
         };
-        let result = SimResult::new(latency, qps, self.completed, saturated, utilization)
-            .with_mean_batch(mean_batch)
-            .with_replica_utilization(replica_utilization)
+        let result = result
             .with_lifecycle_outcome(
                 self.shed,
                 self.dropped,

@@ -279,7 +279,7 @@ mod reference_routed {
     use recpipe_data::ArrivalProcess;
     use recpipe_metrics::{LatencyStats, ThroughputMeter};
     use recpipe_qsim::{
-        PipelineSpec, QueueEntry, Release, ReplicaSnapshot, Router, RouterState, RoutingCtx,
+        PipelineSpec, QueueEntry, Release, ReplicaLoads, Router, RouterState, RoutingCtx,
         SchedulingPolicy, SimResult, StageSpec,
     };
 
@@ -370,7 +370,7 @@ mod reference_routed {
         armed: Vec<Option<f64>>,
         busy_unit_seconds: Vec<f64>,
         router_states: Vec<RouterState>,
-        snapshots: Vec<ReplicaSnapshot>,
+        queued: Vec<usize>,
         batches: Vec<Batch>,
         finish_time: Vec<f64>,
         completed: usize,
@@ -421,7 +421,7 @@ mod reference_routed {
                 router_states: (0..resources.len() as u64)
                     .map(|g| RouterState::new(seed ^ g.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
                     .collect(),
-                snapshots: Vec::new(),
+                queued: Vec::new(),
                 batches: Vec::new(),
                 finish_time: vec![f64::NAN; num_queries],
                 completed: 0,
@@ -464,23 +464,24 @@ mod reference_routed {
             if replicas == 1 {
                 return base;
             }
-            self.snapshots.clear();
+            self.queued.clear();
             for slot in base..base + replicas {
-                self.snapshots.push(ReplicaSnapshot {
-                    queued: self.waiting[slot].len(),
-                    in_flight: self.in_flight[slot],
-                    free_units: self.free[slot],
-                    remaining_work: 0.0,
-                    speed: 1.0,
-                    in_flight_wait: 0.0,
-                });
+                self.queued.push(self.waiting[slot].len());
             }
+            // A counter-only view: no estimator columns, so every
+            // replica reads zero remaining work, speed 1 and zero
+            // in-flight wait, as this loop's snapshots did.
+            let loads = ReplicaLoads::new(
+                &self.queued,
+                &self.in_flight[base..base + replicas],
+                &self.free[base..base + replicas],
+            );
             // The PR-3 router set never reads the routing context; a
             // history-free root context satisfies the new signature.
             let ctx = RoutingCtx::root(query, stage_idx, group);
             let pick = self
                 .router
-                .route(&self.snapshots, &ctx, &mut self.router_states[group]);
+                .route(&loads, &ctx, &mut self.router_states[group]);
             assert!(
                 pick < replicas,
                 "router returned replica {pick} of {replicas}"
@@ -1086,7 +1087,7 @@ mod reference_pr4 {
         /// Routes a query arriving at `stage_idx` to one replica slot of
         /// the stage's resource group.
         ///
-        /// Replicated groups go through [`Router::route_indexed`], probing
+        /// Replicated groups go through [`Router::route`], probing
         /// the incrementally-maintained `queued`/`in_flight`/`free` counter
         /// arrays directly — no snapshot materialization per decision.
         fn route(&mut self, query: usize, stage_idx: usize) -> usize {
@@ -1105,7 +1106,7 @@ mod reference_pr4 {
             let ctx = RoutingCtx::root(query, stage_idx, group);
             let pick = self
                 .router
-                .route_indexed(&loads, &ctx, &mut self.router_states[group]);
+                .route(&loads, &ctx, &mut self.router_states[group]);
             assert!(
                 pick < replicas,
                 "router returned replica {pick} of {replicas}"
@@ -1858,7 +1859,7 @@ mod reference_pr5 {
         /// the stage's resource group, recording the choice in the query's
         /// routing history (the [`RoutingCtx`] affinity signal).
         ///
-        /// Replicated groups go through [`Router::route_indexed`], probing
+        /// Replicated groups go through [`Router::route`], probing
         /// the incrementally-maintained `queued`/`in_flight`/`free` counter
         /// arrays and the `remaining_work`/`slot_speed` estimator arrays
         /// directly — no snapshot materialization per decision.
@@ -1876,6 +1877,10 @@ mod reference_pr5 {
                 debug_assert!((base..base + replicas).all(|s| {
                     (self.remaining_work[s] - self.scan_remaining_work(s)).abs() < 1e-6
                 }));
+                // The legacy estimator books in-flight work inside
+                // `remaining_work`; all-zero decay columns make
+                // `in_flight_wait` read 0, as it did unattached.
+                let (no_finish, no_batches) = (vec![0.0; replicas], vec![0; replicas]);
                 let loads = ReplicaLoads::new(
                     &self.queued[base..base + replicas],
                     &self.in_flight[base..base + replicas],
@@ -1884,6 +1889,9 @@ mod reference_pr5 {
                 .with_estimates(
                     &self.remaining_work[base..base + replicas],
                     &self.slot_speed[base..base + replicas],
+                    &no_finish,
+                    &no_batches,
+                    0.0,
                 );
                 let history = query * num_stages;
                 let ctx = RoutingCtx::new(
@@ -1895,7 +1903,7 @@ mod reference_pr5 {
                 );
                 let pick = self
                     .router
-                    .route_indexed(&loads, &ctx, &mut self.router_states[group]);
+                    .route(&loads, &ctx, &mut self.router_states[group]);
                 assert!(
                     pick < replicas,
                     "router returned replica {pick} of {replicas}"
@@ -2537,7 +2545,7 @@ proptest! {
         seed in 0u64..300,
     ) {
         // The PR-4 hot-loop rewrite (pooled batch buffers, batch-slot
-        // freelist, counter-array router probes via `route_indexed`,
+        // freelist, counter-array router probes via `Router::route`,
         // generation-counter timer cancellation) must not change a
         // single bit of any simulation: policies that arm timers,
         // routers that probe replica state, and batch formation all go

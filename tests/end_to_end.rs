@@ -236,7 +236,8 @@ fn cluster_of_replicas_end_to_end() {
         .quality_queries(20)
         .build()
         .unwrap();
-    assert_eq!(fleet.cluster().replicas(), &[1, 4]);
+    assert_eq!(fleet.placement().replicas_for(0), 1);
+    assert_eq!(fleet.placement().replicas_for(1), 4);
     let arrivals = PoissonArrivals::new(overload);
     let spec = fleet.spec();
     let rr = spec.serve_routed(&arrivals, &Fifo, &RoundRobin, 6_000, fleet.seed());
@@ -274,7 +275,7 @@ fn heterogeneous_fleet_end_to_end() {
     assert_eq!(mixed.replica_cost(), 4);
     assert!((mixed.fleet_cost() - 3.0).abs() < 1e-12);
     assert_eq!(
-        mixed.cluster().fleets()[1],
+        mixed.placement().fleet_for(1),
         FleetSpec::new(&[1.0, 1.0, 0.5, 0.5])
     );
     let outcome = mixed.evaluate_at(100.0);
