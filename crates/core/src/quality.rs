@@ -1,6 +1,8 @@
+use std::collections::HashMap;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use recpipe_data::{DatasetKind, DatasetSpec, Normal, QueryGenerator};
+use recpipe_data::{splitmix64, DatasetKind, DatasetSpec, KeyedNormal, Normal, QueryGenerator};
 use recpipe_metrics::{ideal_top_k, ndcg_at_k, BinaryConfusion};
 use recpipe_models::{AccuracyModel, ModelKind};
 use serde::{Deserialize, Serialize};
@@ -52,21 +54,29 @@ impl QualityReport {
 /// each chunk of its input, stitched together — quality can degrade if
 /// winners cluster in one chunk.
 ///
-/// Two random streams drive an evaluation, and they are kept apart:
+/// Randomness comes from two sources, kept apart:
 ///
-/// * the **query stream** (seed `seed + 1`) draws each query's pool of
-///   utilities. It is the same for every pipeline, so
-///   [`evaluate_many`](Self::evaluate_many) runs query-major: it draws
-///   each pool once, derives its gains and top-`k` ideal ordering once,
-///   and then pushes every pipeline's funnel through that query;
-/// * each pipeline's **noise stream** (its own generator seeded with
-///   `seed`) draws the scoring errors, consumed in funnel order: the
-///   shared per-item components, then each stage's fresh components.
+/// * the **query stream** (a generator seeded `seed + 1`) draws each
+///   query's pool of utilities, the same for every pipeline;
+/// * the **scoring noise** is keyed, not streamed: the error of pool
+///   item `i` in query `q` is a pure function of a hash of
+///   `(seed, q, i, stream)`, sampled by [`KeyedNormal`]. The stream is
+///   the shared per-item component, or the fresh component of a stage
+///   position. So two stages of one pipeline draw independent fresh
+///   errors even when they repeat a tier, and stages at the same
+///   position in different pipelines see the same errors, scaled by
+///   their tier's noise level.
 ///
-/// Every pipeline therefore sees the same queries (common random
-/// numbers) and a private noise stream that no other pipeline touches.
-/// A pipeline's report depends only on the evaluator and the pipeline,
-/// never on which pipelines share a batch or in what order, so
+/// Every pipeline therefore sees the same queries and the same noise
+/// (common random numbers), and comparisons between designs carry less
+/// Monte-Carlo variance than independent draws would. A stage's
+/// survivors depend only on its input, tier, position, cut and whether
+/// it is final, never on which other pipelines are evaluated alongside.
+/// That lets [`evaluate_many`](Self::evaluate_many) run query-major over a
+/// **funnel trie**: it draws each pool and its ideal ordering once, and
+/// runs each distinct stage prefix once per query, however many
+/// pipelines share it (RecPipe's own funnel, applied to the evaluator).
+/// A report depends only on the evaluator and the pipeline, so
 /// batching, grouping or parallelizing evaluations cannot change a
 /// result: [`evaluate`](Self::evaluate) is `evaluate_many` of one.
 ///
@@ -175,28 +185,45 @@ impl QualityEvaluator {
     }
 
     /// Measures every pipeline's quality in one pass over the query
-    /// stream, returning the reports in input order. Each report is
-    /// bit-identical to [`evaluate`](Self::evaluate) of that pipeline
-    /// alone, whatever else is in the batch.
+    /// stream, returning the reports in input order. The pipelines'
+    /// stages are interned as a trie of distinct prefixes, and each
+    /// prefix is scored once per query. Each report is bit-identical to
+    /// [`evaluate`](Self::evaluate) of that pipeline alone, whatever
+    /// else is in the batch.
     pub fn evaluate_many(&self, pipelines: &[PipelineConfig]) -> Vec<QualityReport> {
         if pipelines.is_empty() {
             return Vec::new();
         }
-        let mut gen = QueryGenerator::new(&self.spec, self.seed.wrapping_add(1));
-        let mut rngs: Vec<StdRng> = pipelines
+        let normal = KeyedNormal::new();
+        let trie = FunnelTrie::new(pipelines, self.spec.candidates_per_query);
+        let sigmas: Vec<f64> = trie
+            .nodes
             .iter()
-            .map(|_| StdRng::seed_from_u64(self.seed))
+            .map(|node| self.accuracy.sigma(node.model))
             .collect();
+        let rho = self.stage_noise_correlation;
+        let fresh_scale = (1.0 - rho * rho).sqrt();
+        let seed_key = splitmix64(self.seed);
+
+        let mut gen = QueryGenerator::new(&self.spec, self.seed.wrapping_add(1));
         let mut scores: Vec<Vec<f64>> = pipelines
             .iter()
             .map(|_| Vec::with_capacity(self.num_queries))
             .collect();
-        let mut scratch = Scratch::default();
+        // Per node, the pool indices that survive it, best first for a
+        // final stage and in stitched order otherwise.
+        let mut survivors: Vec<Vec<usize>> = vec![Vec::new(); trie.nodes.len()];
+        let width = trie.widest_root;
+        // A first stage scores a prefix of the pool.
+        let pool_items: Vec<usize> = (0..width).collect();
+        let mut shared = Vec::with_capacity(width);
+        let mut errors = Vec::with_capacity(width * trie.depth);
+        let mut scored = Vec::new();
+        let mut picks = Vec::new();
         let mut served_gains = Vec::new();
 
-        for _ in 0..self.num_queries {
-            let query = gen.next_query();
-            let utilities = &query.utilities;
+        for query in 0..self.num_queries as u64 {
+            let utilities = gen.next_query().utilities;
 
             // Ideal ordering over the FULL pool: unseen candidates count
             // against the pipeline.
@@ -206,10 +233,58 @@ impl QualityEvaluator {
                 .collect();
             let ideal = ideal_top_k(&gains, self.top_k);
 
-            for ((pipeline, rng), scores) in pipelines.iter().zip(&mut rngs).zip(&mut scores) {
-                let served = self.run_funnel(pipeline, utilities, rng, &mut scratch);
+            // Each item's scoring error at each stage position: a
+            // persistent component shared by every stage (see
+            // `stage_noise_correlation`) plus a fresh one per position,
+            // for every item the widest first stage can see.
+            let query_key = splitmix64(seed_key ^ query);
+            let shared_key = stream_key(query_key, SHARED_STREAM);
+            shared.clear();
+            shared.extend((0..width).map(|item| normal.sample(item_key(shared_key, item))));
+            errors.clear();
+            for depth in 0..trie.depth {
+                let fresh_key = stream_key(query_key, fresh_stream(depth));
+                errors.extend(shared.iter().enumerate().map(|(item, &shared)| {
+                    let fresh = normal.sample(item_key(fresh_key, item));
+                    rho * shared + fresh_scale * fresh
+                }));
+            }
+
+            // Parents precede children, so each node filters survivors
+            // its parent already chose.
+            for (id, node) in trie.nodes.iter().enumerate() {
+                let (done, rest) = survivors.split_at_mut(id);
+                let input = match node.parent {
+                    Some(p) => &done[p],
+                    None => &pool_items[..node.items_in],
+                };
+                let eps = &errors[node.depth * width..][..width];
+                let sigma = sigmas[id];
+                scored.clear();
+                scored.extend(
+                    input
+                        .iter()
+                        .enumerate()
+                        .map(|(pos, &idx)| rank_key(utilities[idx] + sigma * eps[idx], pos)),
+                );
+                // Inter-stage filtering may stitch per-sub-batch top-k/n
+                // lists (unordered is fine; the next stage rescores), but
+                // the FINAL stage's output is the served ranking and is
+                // always globally ordered.
+                picks.clear();
+                if node.last {
+                    top_k_indices(&mut scored, node.items_out, &mut picks);
+                } else {
+                    select_top(&mut scored, node.items_out, self.sub_batches, &mut picks);
+                }
+                let out = &mut rest[0];
+                out.clear();
+                out.extend(picks.iter().map(|&pos| input[pos]));
+            }
+
+            for (&leaf, scores) in trie.leaves.iter().zip(&mut scores) {
                 served_gains.clear();
-                served_gains.extend(served.iter().map(|&idx| gains[idx]));
+                served_gains.extend(survivors[leaf].iter().map(|&idx| gains[idx]));
                 scores.push(ndcg_at_k(&served_gains, &ideal, self.top_k));
             }
         }
@@ -227,63 +302,6 @@ impl QualityEvaluator {
                 }
             })
             .collect()
-    }
-
-    /// Pushes one query through `pipeline`'s funnel, drawing its scoring
-    /// noise from `rng`, and returns the served pool indices, best
-    /// first.
-    fn run_funnel<'s>(
-        &self,
-        pipeline: &PipelineConfig,
-        utilities: &[f64],
-        rng: &mut StdRng,
-        scratch: &'s mut Scratch,
-    ) -> &'s [usize] {
-        let Scratch {
-            shared,
-            scored,
-            picks,
-            survivors,
-            next,
-        } = scratch;
-        let noise = Normal::standard();
-
-        // The funnel: indices into the pool survive stage by stage.
-        let first_in = (pipeline.items_in() as usize).min(utilities.len());
-        survivors.clear();
-        survivors.extend(0..first_in);
-
-        // Persistent per-item error component shared by every stage
-        // (see `stage_noise_correlation`).
-        shared.clear();
-        shared.extend((0..first_in).map(|_| noise.sample(rng)));
-        let rho = self.stage_noise_correlation;
-        let fresh_scale = (1.0 - rho * rho).sqrt();
-
-        let num_stages = pipeline.num_stages();
-        for (stage_idx, stage) in pipeline.stages().iter().enumerate() {
-            let sigma = self.accuracy.sigma(stage.model);
-            scored.clear();
-            scored.extend(survivors.iter().enumerate().map(|(pos, &idx)| {
-                let eps = rho * shared[idx] + fresh_scale * noise.sample(rng);
-                rank_key(utilities[idx] + sigma * eps, pos)
-            }));
-            // Inter-stage filtering may stitch per-sub-batch top-k/n
-            // lists (unordered is fine; the next stage rescores), but
-            // the FINAL stage's output is the served ranking and is
-            // always globally ordered.
-            let last = stage_idx + 1 == num_stages;
-            picks.clear();
-            if last {
-                top_k_indices(scored, stage.items_out as usize, picks);
-            } else {
-                select_top(scored, stage.items_out as usize, self.sub_batches, picks);
-            }
-            next.clear();
-            next.extend(picks.iter().map(|&pos| survivors[pos]));
-            std::mem::swap(survivors, next);
-        }
-        survivors
     }
 
     /// Measures a single model tier's pointwise CTR accuracy (the metric
@@ -312,20 +330,120 @@ impl QualityEvaluator {
     }
 }
 
-/// Reusable buffers for [`QualityEvaluator::evaluate_many`]: sized by
-/// the first query, then recycled across pipelines and queries.
-#[derive(Debug, Default)]
-struct Scratch {
-    /// Per-item shared error component, indexed by pool position.
-    shared: Vec<f64>,
-    /// [`rank_key`]s of the items a stage scores.
-    scored: Vec<u128>,
-    /// Input positions a stage keeps.
-    picks: Vec<usize>,
-    /// Pool indices alive after the latest stage.
-    survivors: Vec<usize>,
-    /// The next stage's survivors, before they swap in.
-    next: Vec<usize>,
+/// Stream tag of the shared per-item error component.
+const SHARED_STREAM: u64 = 0;
+
+/// Stream tag of the fresh error component of the stage at position
+/// `depth`. Every stage of a pipeline sits at its own position, so its
+/// fresh errors are independent of its other stages' even when a tier
+/// repeats; stages at one position share them across pipelines and
+/// tiers, so the comparison between two tiers carries no noise of its
+/// own (common random numbers).
+fn fresh_stream(depth: usize) -> u64 {
+    1 + depth as u64
+}
+
+/// The key of one stream of one query's noise.
+fn stream_key(query_key: u64, stream: u64) -> u64 {
+    splitmix64(query_key ^ splitmix64(stream))
+}
+
+/// The key of pool item `item`'s value in a stream: consecutive items
+/// step the key by an odd constant other than the sampler's own gamma,
+/// so no item's key lands on another item's later sampler words.
+fn item_key(stream_key: u64, item: usize) -> u64 {
+    stream_key.wrapping_add((item as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9))
+}
+
+/// One distinct stage prefix of a batch of pipelines.
+#[derive(Debug)]
+struct FunnelNode {
+    /// The node whose survivors this stage scores; `None` for a first
+    /// stage, which scores pool items `0..items_in`.
+    parent: Option<usize>,
+    /// Stage position in the funnel.
+    depth: usize,
+    model: ModelKind,
+    /// Items the stage scores per query: a first stage's input, clamped
+    /// to the pool; for a later stage, the most its parent keeps.
+    items_in: usize,
+    items_out: usize,
+    /// Whether this is a pipeline's final stage, whose output is served.
+    last: bool,
+}
+
+/// Every pipeline's stages interned as a trie of distinct prefixes, so
+/// a batch scores each shared prefix once per query. Keyed noise makes
+/// a node's survivors depend only on the node: its parent's survivors
+/// (or its first-stage input), its model, its stage position, its cut
+/// and whether it is final.
+#[derive(Debug)]
+pub(crate) struct FunnelTrie {
+    /// Nodes in creation order: every parent precedes its children.
+    nodes: Vec<FunnelNode>,
+    /// Each pipeline's final node, in input order.
+    leaves: Vec<usize>,
+    /// The largest first-stage input: no stage scores an item outside
+    /// `0..widest_root`.
+    widest_root: usize,
+    /// The most stages of any pipeline.
+    depth: usize,
+}
+
+impl FunnelTrie {
+    /// Interns `pipelines` over pools of `pool` candidates.
+    pub(crate) fn new(pipelines: &[PipelineConfig], pool: usize) -> Self {
+        // Node key -> node id; for lookup only, never iterated.
+        let mut index: HashMap<(Option<usize>, usize, ModelKind, u64, bool), usize> =
+            HashMap::new();
+        let mut nodes: Vec<FunnelNode> = Vec::new();
+        let mut leaves = Vec::with_capacity(pipelines.len());
+        for pipeline in pipelines {
+            let mut parent: Option<usize> = None;
+            for (depth, stage) in pipeline.stages().iter().enumerate() {
+                let last = depth + 1 == pipeline.num_stages();
+                let items_in = match parent {
+                    Some(p) => nodes[p].items_out.min(nodes[p].items_in),
+                    None => (stage.items_in as usize).min(pool),
+                };
+                // A later stage's input follows from its parent, so this
+                // is (parent, first_in for roots, model, cut, last).
+                let key = (parent, items_in, stage.model, stage.items_out, last);
+                let id = *index.entry(key).or_insert_with(|| {
+                    nodes.push(FunnelNode {
+                        parent,
+                        depth,
+                        model: stage.model,
+                        items_in,
+                        items_out: stage.items_out as usize,
+                        last,
+                    });
+                    nodes.len() - 1
+                });
+                parent = Some(id);
+            }
+            leaves.push(parent.expect("a pipeline has at least one stage"));
+        }
+        let widest_root = nodes
+            .iter()
+            .filter(|n| n.parent.is_none())
+            .map(|n| n.items_in)
+            .max()
+            .unwrap_or(0);
+        let depth = nodes.iter().map(|n| n.depth + 1).max().unwrap_or(0);
+        Self {
+            nodes,
+            leaves,
+            widest_root,
+            depth,
+        }
+    }
+
+    /// Items the trie's stages score per query: the quality-evaluation
+    /// work of one batch.
+    pub(crate) fn items_scored(&self) -> u64 {
+        self.nodes.iter().map(|n| n.items_in as u64).sum()
+    }
 }
 
 /// Appends the input positions of the top `k` scored items, optionally
@@ -628,6 +746,47 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn repeated_tier_draws_fresh_errors_per_stage() {
+        // With independent stage errors, a second RMlarge stage
+        // re-scores its 256 survivors with new noise; had it redrawn
+        // stage one's errors, it would only repeat stage one's order
+        // and serve the single-stage top 64.
+        let e = eval().noise_correlation(0.0);
+        let single = e.evaluate(&single(ModelKind::RmLarge, 4096));
+        let repeated = e.evaluate(
+            &PipelineConfig::builder()
+                .stage(StageConfig::new(ModelKind::RmLarge, 4096, 256))
+                .stage(StageConfig::new(ModelKind::RmLarge, 256, 64))
+                .build()
+                .unwrap(),
+        );
+        assert_ne!(single, repeated);
+    }
+
+    #[test]
+    fn funnel_trie_scores_each_shared_prefix_once() {
+        let pipelines = [
+            single(ModelKind::RmLarge, 4096),
+            two_stage(ModelKind::RmSmall, 4096, 256),
+            two_stage(ModelKind::RmSmall, 4096, 256),
+            two_stage(ModelKind::RmSmall, 4096, 512),
+            // Same stage as the first, but not final: a node of its own.
+            PipelineConfig::builder()
+                .stage(StageConfig::new(ModelKind::RmLarge, 4096, 64))
+                .stage(StageConfig::new(ModelKind::RmLarge, 64, 32))
+                .build()
+                .unwrap(),
+        ];
+        let trie = FunnelTrie::new(&pipelines, 4096);
+        assert_eq!(trie.nodes.len(), 7);
+        assert_eq!(trie.leaves, vec![0, 2, 2, 4, 6]);
+        assert_eq!(trie.items_scored(), 4 * 4096 + 256 + 512 + 64);
+        assert_eq!((trie.widest_root, trie.depth), (4096, 2));
+        // Roots clamp to the pool.
+        assert_eq!(FunnelTrie::new(&pipelines[..1], 1000).items_scored(), 1000);
     }
 
     #[test]

@@ -2,7 +2,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use recpipe_accel::{Partition, RpAccel, RpAccelConfig};
-use recpipe_data::{DatasetKind, DatasetSpec};
+use recpipe_data::{splitmix64, DatasetKind, DatasetSpec};
 use recpipe_hwsim::{CpuModel, GpuModel, PcieModel};
 use recpipe_metrics::{Dominance, ParetoFront};
 use recpipe_models::ModelKind;
@@ -13,6 +13,7 @@ use crate::backend::{build_spec, Backend, FleetSpec, Placement, StageSite};
 use crate::engine::Outcome;
 use crate::multipath::BrownoutOutcome;
 use crate::parallel::{parallel_map, worker_threads};
+use crate::quality::FunnelTrie;
 use crate::{PipelineConfig, QualityEvaluator, StageConfig};
 
 /// Knobs bounding the scheduler's exhaustive search.
@@ -138,24 +139,45 @@ impl SweepStats {
 }
 
 /// Splits `pipelines` into at most `groups` non-empty batches of
-/// roughly equal quality-evaluation work, estimated as the items each
-/// pipeline's stages score per query. Largest first onto the lightest
-/// batch, ties to the earlier pipeline and batch, so the split is
+/// roughly equal quality-evaluation work. Pipelines that share a first
+/// stage share a funnel-trie subtree, so they stay in one batch, and a
+/// unit of such pipelines costs the distinct items its trie scores per
+/// query over pools of `pool` items. Largest unit first onto the
+/// lightest batch, ties to the earlier unit and batch, so the split is
 /// deterministic; each batch keeps enumeration order.
-fn quality_groups(pipelines: Vec<PipelineConfig>, groups: usize) -> Vec<Vec<PipelineConfig>> {
-    let cost = |p: &PipelineConfig| p.stages().iter().map(|s| s.items_in).sum::<u64>();
-    let mut order: Vec<usize> = (0..pipelines.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(cost(&pipelines[i])));
-    let mut load = vec![0u64; groups.clamp(1, pipelines.len().max(1))];
-    let mut home = vec![0usize; pipelines.len()];
-    for i in order {
+fn quality_groups(
+    pipelines: Vec<PipelineConfig>,
+    groups: usize,
+    pool: usize,
+) -> Vec<Vec<PipelineConfig>> {
+    let first = |p: &PipelineConfig| p.stages()[0];
+    let mut units: Vec<Vec<PipelineConfig>> = Vec::new();
+    for pipeline in &pipelines {
+        match units.iter_mut().find(|u| first(&u[0]) == first(pipeline)) {
+            Some(unit) => unit.push(pipeline.clone()),
+            None => units.push(vec![pipeline.clone()]),
+        }
+    }
+    let cost: Vec<u64> = units
+        .iter()
+        .map(|u| FunnelTrie::new(u, pool).items_scored())
+        .collect();
+    let mut order: Vec<usize> = (0..units.len()).collect();
+    order.sort_by_key(|&u| std::cmp::Reverse(cost[u]));
+    let mut load = vec![0u64; groups.clamp(1, units.len().max(1))];
+    let mut home = vec![0usize; units.len()];
+    for u in order {
         let lightest = (0..load.len()).min_by_key(|&g| load[g]).expect("a group");
-        load[lightest] += cost(&pipelines[i]);
-        home[i] = lightest;
+        load[lightest] += cost[u];
+        home[u] = lightest;
     }
     let mut out = vec![Vec::new(); load.len()];
-    for (pipeline, g) in pipelines.into_iter().zip(home) {
-        out[g].push(pipeline);
+    for pipeline in pipelines {
+        let unit = units
+            .iter()
+            .position(|u| first(&u[0]) == first(&pipeline))
+            .expect("every pipeline has a unit");
+        out[home[unit]].push(pipeline);
     }
     out.retain(|g| !g.is_empty());
     out
@@ -167,12 +189,7 @@ fn quality_groups(pipelines: Vec<PipelineConfig>, groups: usize) -> Vec<Vec<Pipe
 /// state. Both the serial and parallel paths use this, keeping them
 /// bit-identical.
 pub fn candidate_seed(base: u64, index: u64) -> u64 {
-    let mut z = base
-        .wrapping_add(0x9e37_79b9_7f4a_7c15)
-        .wrapping_add(index.wrapping_mul(0xbf58_476d_1ce4_e5b9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    splitmix64(base.wrapping_add(index.wrapping_mul(0xbf58_476d_1ce4_e5b9)))
 }
 
 impl SchedulerSettings {
@@ -594,7 +611,7 @@ impl Scheduler {
             .filter(|p| !quality_cache.contains_key(*p))
             .cloned()
             .collect();
-        let groups = quality_groups(missing, workers);
+        let groups = quality_groups(missing, workers, quality_eval.spec().candidates_per_query);
         let reports = parallel_map(&groups, workers, |_, group| {
             quality_eval.evaluate_many(group)
         });
@@ -1315,21 +1332,41 @@ mod tests {
     #[test]
     fn quality_groups_balance_work_and_keep_every_pipeline() {
         let pipelines = Scheduler::new(SchedulerSettings::paper_default()).enumerate_pipelines(3);
-        let cost = |g: &[PipelineConfig]| -> u64 {
-            g.iter().flat_map(|p| p.stages()).map(|s| s.items_in).sum()
-        };
+        let cost = |g: &[PipelineConfig]| FunnelTrie::new(g, 4096).items_scored();
+        let first = |p: &PipelineConfig| p.stages()[0];
+        let mut firsts: Vec<StageConfig> = Vec::new();
+        for p in &pipelines {
+            if !firsts.contains(&first(p)) {
+                firsts.push(first(p));
+            }
+        }
         for groups in [1, 2, 3, 8, 200] {
-            let split = quality_groups(pipelines.clone(), groups);
-            assert_eq!(split.len(), groups.min(pipelines.len()));
-            assert_eq!(split, quality_groups(pipelines.clone(), groups));
+            let split = quality_groups(pipelines.clone(), groups, 4096);
+            assert_eq!(split.len(), groups.min(firsts.len()));
+            assert_eq!(split, quality_groups(pipelines.clone(), groups, 4096));
             assert_eq!(split.iter().map(Vec::len).sum::<usize>(), pipelines.len());
             for p in &pipelines {
                 assert_eq!(split.iter().flatten().filter(|q| *q == p).count(), 1);
+                // Pipelines sharing a first stage share one batch.
+                let homes = split
+                    .iter()
+                    .filter(|g| g.iter().any(|q| first(q) == first(p)))
+                    .count();
+                assert_eq!(homes, 1, "{}", p.describe());
             }
+            // Loads, in distinct trie items, differ by at most the
+            // heaviest shared-first-stage unit.
             let loads: Vec<u64> = split.iter().map(|g| cost(g)).collect();
-            let biggest = pipelines
+            let biggest = firsts
                 .iter()
-                .map(|p| cost(std::slice::from_ref(p)))
+                .map(|f| {
+                    let unit: Vec<PipelineConfig> = pipelines
+                        .iter()
+                        .filter(|p| first(p) == *f)
+                        .cloned()
+                        .collect();
+                    cost(&unit)
+                })
                 .max();
             let (lo, hi) = (loads.iter().min(), loads.iter().max());
             assert!(
@@ -1337,7 +1374,7 @@ mod tests {
                 "groups {groups}: loads {loads:?}"
             );
         }
-        assert!(quality_groups(Vec::new(), 4).is_empty());
+        assert!(quality_groups(Vec::new(), 4, 4096).is_empty());
     }
 
     #[test]

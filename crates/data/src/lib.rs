@@ -42,7 +42,7 @@ pub use arrival::{
     PoissonArrivals, PoissonProcess,
 };
 pub use dataset::{DatasetKind, DatasetSpec};
-pub use dist::{Exponential, Normal, Zipf};
+pub use dist::{splitmix64, Exponential, KeyedNormal, Normal, Zipf};
 pub use movielens::{
     interaction_stats, parse_ml1m, parse_ml20m, InteractionStats, ParseRatingError, Rating,
 };
