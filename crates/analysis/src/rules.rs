@@ -81,7 +81,8 @@ pub const RULES: &[RuleMeta] = &[
     RuleMeta {
         id: "serve-coverage",
         severity: Severity::Deny,
-        summary: "every public qsim serve_* entry point is named by a qsim/tests/ property",
+        summary:
+            "every public Scenario method and serve_* adapter is named by a qsim/tests/ property",
     },
     RuleMeta {
         id: "bad-allow",
@@ -126,8 +127,11 @@ pub struct Config {
     /// Path prefix holding the serving entry points.
     pub serve_src: String,
     /// Path prefix holding the frozen-reference/conservation tests
-    /// that must name every public `serve_*` entry point.
+    /// that must name every public serving entry point.
     pub serve_tests: String,
+    /// Self type whose public methods are serving entry points (each
+    /// must be called by a test under `serve_tests`).
+    pub serve_type: String,
     /// Per-rule severity overrides, checked before [`RULES`] defaults.
     pub severity_overrides: Vec<(String, Severity)>,
 }
@@ -159,6 +163,7 @@ impl Default for Config {
             ctor_paths: vec!["crates/qsim/src/".into()],
             serve_src: "crates/qsim/src/".into(),
             serve_tests: "crates/qsim/tests/".into(),
+            serve_type: "Scenario".into(),
             severity_overrides: Vec::new(),
         }
     }
@@ -825,13 +830,16 @@ fn ctor_validate(ctx: &mut Ctx<'_>) {
 // serve-coverage
 // ---------------------------------------------------------------------------
 
-/// Cross-file rule: every `pub fn serve*` in the serving crate must be
-/// named by at least one test under the configured tests tree — the
-/// repo's frozen-reference/conservation discipline, enforced
-/// mechanically. Adding a `serve_*` entry point without pinning it
-/// fails the build.
+/// Cross-file rule: every public serving entry point must be named by
+/// at least one test under the configured tests tree — the repo's
+/// frozen-reference/conservation discipline, enforced mechanically.
+/// Entry points are the public methods of the [`Config::serve_type`]
+/// (`Scenario`), which a test must *call* (`.name(` or `::name(`), and
+/// every `pub fn serve*` adapter in the serving crate, which a test must
+/// name. Adding an entry point without pinning it fails the build.
 fn serve_coverage(files: &[ScannedFile], cfg: &Config, out: &mut Vec<Finding>) {
-    let mut entry_points: Vec<(String, usize, usize)> = Vec::new(); // name, file idx, line idx
+    // (name, is a serve_type method, file idx, line idx)
+    let mut entry_points: Vec<(String, bool, usize, usize)> = Vec::new();
     for (fi, f) in files.iter().enumerate() {
         if !f.path.starts_with(&cfg.serve_src) {
             continue;
@@ -840,44 +848,72 @@ fn serve_coverage(files: &[ScannedFile], cfg: &Config, out: &mut Vec<Finding>) {
             if line.in_test {
                 continue;
             }
-            let code = line.code.trim();
-            if let Some(rest) = code.strip_prefix("pub fn ") {
-                let name_end = rest
-                    .find(|c: char| !(c.is_alphanumeric() || c == '_'))
-                    .unwrap_or(rest.len());
-                let name = &rest[..name_end];
-                if name.starts_with("serve") && !entry_points.iter().any(|(n, _, _)| n == name) {
-                    entry_points.push((name.to_string(), fi, idx));
-                }
+            let Some(rest) = line.code.trim().strip_prefix("pub fn ") else {
+                continue;
+            };
+            let name_end = rest
+                .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .unwrap_or(rest.len());
+            let name = &rest[..name_end];
+            let method = line.impl_name == cfg.serve_type;
+            let known = entry_points
+                .iter()
+                .any(|(n, m, _, _)| n == name && *m == method);
+            if (method || name.starts_with("serve")) && !known {
+                entry_points.push((name.to_string(), method, fi, idx));
             }
         }
     }
-    if entry_points.is_empty() {
-        return;
-    }
-    let has_tests = files.iter().any(|f| f.path.starts_with(&cfg.serve_tests));
-    for (name, fi, idx) in entry_points {
+    let tests: Vec<&ScannedFile> = files
+        .iter()
+        .filter(|f| f.path.starts_with(&cfg.serve_tests))
+        .collect();
+    for (name, method, fi, idx) in entry_points {
         let file = &files[fi];
         if file.allowed(idx, "serve-coverage") {
             continue;
         }
-        let covered = has_tests
-            && files.iter().any(|f| {
-                f.path.starts_with(&cfg.serve_tests)
-                    && f.lines.iter().any(|l| find_word(&l.code, &name).is_some())
-            });
+        let covered = tests.iter().any(|f| {
+            f.lines.iter().any(|l| {
+                if method {
+                    calls(&l.code, &name)
+                } else {
+                    find_word(&l.code, &name).is_some()
+                }
+            })
+        });
         if !covered {
+            let shown = if method {
+                format!("{}::{name}", cfg.serve_type)
+            } else {
+                name
+            };
             out.push(Finding {
                 rule: "serve-coverage",
                 severity: cfg.severity("serve-coverage"),
                 path: file.path.clone(),
                 line: idx + 1,
                 message: format!(
-                    "public entry point `{name}` is not named by any test under \
+                    "public entry point `{shown}` is not named by any test under \
                      `{}`; add a frozen-reference or conservation property pinning it",
                     cfg.serve_tests
                 ),
             });
         }
     }
+}
+
+/// Whether `code` calls a method or associated function `name`
+/// (`.name(` or `::name(`).
+fn calls(code: &str, name: &str) -> bool {
+    let mut from = 0;
+    while let Some(at) = find_word(&code[from..], name).map(|a| a + from) {
+        let before = &code[..at];
+        let after = code[at + name.len()..].trim_start();
+        if (before.ends_with('.') || before.ends_with("::")) && after.starts_with('(') {
+            return true;
+        }
+        from = at + name.len();
+    }
+    false
 }

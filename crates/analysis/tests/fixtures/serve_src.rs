@@ -1,6 +1,9 @@
 // Fixture: serve-coverage sources, scanned under crates/qsim/src/.
 // `serve_pinned` is named by the test fixture; `serve_orphan` is not
-// (the rule's positive case); `serve_waved` carries an allow.
+// (the rule's positive case); `serve_waved` carries an allow. Of the
+// `Scenario` methods, `pinned_knob` is called by the test fixture,
+// `orphan_knob` only appears there in a comment and as a bare word,
+// and the private helper is not an entry point.
 
 pub fn serve_pinned(queries: usize, seed: u64) -> usize {
     queries.wrapping_add(seed as usize)
@@ -13,4 +16,22 @@ pub fn serve_orphan(queries: usize, seed: u64) -> usize {
 // simlint: allow(serve-coverage) -- thin wrapper over serve_pinned; pinned transitively
 pub fn serve_waved(queries: usize, seed: u64) -> usize {
     serve_pinned(queries, seed)
+}
+
+pub struct Scenario<'a> {
+    queries: &'a usize,
+}
+
+impl<'a> Scenario<'a> {
+    pub fn pinned_knob(self) -> Self {
+        self
+    }
+
+    pub fn orphan_knob(self) -> Self {
+        self.helper()
+    }
+
+    fn helper(self) -> Self {
+        self
+    }
 }

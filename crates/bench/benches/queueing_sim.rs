@@ -11,10 +11,10 @@ use recpipe_core::{Backend, Scheduler, SchedulerSettings, SweepBudget};
 use recpipe_data::{DiurnalArrivals, MmppArrivals, PoissonArrivals, TraceArrivals};
 use recpipe_hwsim::{CpuModel, PcieModel};
 use recpipe_qsim::{
-    serve_multipath, BatchModel, BatchWindow, ExpectedWait, Fifo, HedgePolicy, JoinShortestQueue,
-    LeastWorkLeft, LifecycleConfig, LifecycleEvent, LifecycleSchedule, LoadAdaptive, PathSet,
-    PipelineSpec, PowerOfTwoChoices, ReplicaGroup, ReplicaProfile, ResilienceConfig, RetryBudget,
-    RetryPolicy, RoundRobin, Router, StageSpec,
+    BatchModel, BatchWindow, ExpectedWait, Fifo, HedgePolicy, JoinShortestQueue, LeastWorkLeft,
+    LifecycleConfig, LifecycleEvent, LifecycleSchedule, LoadAdaptive, PathSet, PipelineSpec,
+    PowerOfTwoChoices, ReplicaGroup, ReplicaProfile, ResilienceConfig, RetryBudget, RetryPolicy,
+    RoundRobin, Router, Scenario, StageSpec,
 };
 
 fn two_stage() -> PipelineSpec {
@@ -57,7 +57,14 @@ fn bench_qsim_v2(c: &mut Criterion) {
     let mut group = c.benchmark_group("qsim_v2");
     for &queries in &[1_000usize, 10_000] {
         group.bench_function(format!("batched_mmpp_window_{queries}q"), |b| {
-            b.iter(|| black_box(spec.serve(&arrivals, &policy, queries, 7)))
+            b.iter(|| {
+                black_box(
+                    Scenario::new(&spec, &arrivals, queries, 7)
+                        .policy(&policy)
+                        .run()
+                        .expect("a routed run has no failure mode"),
+                )
+            })
         });
     }
     group.finish();
@@ -83,7 +90,14 @@ fn bench_qsim_cluster(c: &mut Criterion) {
     ];
     for (name, router) in routers {
         group.bench_function(format!("routed_10000q/{name}"), |b| {
-            b.iter(|| black_box(spec.serve_routed(&arrivals, &Fifo, router, 10_000, 7)))
+            b.iter(|| {
+                black_box(
+                    Scenario::new(&spec, &arrivals, 10_000, 7)
+                        .router(router)
+                        .run()
+                        .expect("a routed run has no failure mode"),
+                )
+            })
         });
     }
 
@@ -112,7 +126,14 @@ fn bench_qsim_cluster(c: &mut Criterion) {
     ];
     for (name, router) in hetero_routers {
         group.bench_function(format!("two_gen_10000q/{name}"), |b| {
-            b.iter(|| black_box(two_gen.serve_routed(&hetero_arrivals, &Fifo, router, 10_000, 7)))
+            b.iter(|| {
+                black_box(
+                    Scenario::new(&two_gen, &hetero_arrivals, 10_000, 7)
+                        .router(router)
+                        .run()
+                        .expect("a routed run has no failure mode"),
+                )
+            })
         });
     }
     group.finish();
@@ -183,7 +204,10 @@ fn bench_qsim_lifecycle(c: &mut Criterion) {
     group.bench_function("diurnal_failures_10000q", |b| {
         b.iter(|| {
             black_box(
-                spec.serve_lifecycle(&arrivals, &Fifo, &JoinShortestQueue, 10_000, 7, &cfg)
+                Scenario::new(&spec, &arrivals, 10_000, 7)
+                    .router(&JoinShortestQueue)
+                    .lifecycle(&cfg)
+                    .run()
                     .expect("replica 0 recovers, so the run cannot strand work"),
             )
         })
@@ -213,17 +237,11 @@ fn bench_qsim_multipath(c: &mut Criterion) {
     group.bench_function("brownout_ladder3_10000q", |b| {
         b.iter(|| {
             black_box(
-                serve_multipath(
-                    &paths,
-                    &arrivals,
-                    &Fifo,
-                    &JoinShortestQueue,
-                    &admission,
-                    10_000,
-                    7,
-                    &cfg,
-                )
-                .expect("no lifecycle schedule, so the run cannot strand work"),
+                Scenario::multipath(&paths, &admission, &arrivals, 10_000, 7)
+                    .router(&JoinShortestQueue)
+                    .lifecycle(&cfg)
+                    .run()
+                    .expect("no lifecycle schedule, so the run cannot strand work"),
             )
         })
     });
@@ -255,7 +273,10 @@ fn bench_qsim_resilience(c: &mut Criterion) {
     group.bench_function("hedged_limp_10000q", |b| {
         b.iter(|| {
             black_box(
-                spec.serve_resilient(&arrivals, &Fifo, &RoundRobin, 10_000, 7, &cfg, &resilience)
+                Scenario::new(&spec, &arrivals, 10_000, 7)
+                    .lifecycle(&cfg)
+                    .resilience(&resilience)
+                    .run()
                     .expect("degrades never strand work"),
             )
         })

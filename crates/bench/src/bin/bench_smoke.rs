@@ -26,10 +26,9 @@ use std::time::{Duration, Instant};
 
 use recpipe_data::{DiurnalArrivals, PoissonArrivals, TraceArrivals};
 use recpipe_qsim::{
-    serve_multipath, BatchModel, ExpectedWait, Fifo, HedgePolicy, JoinShortestQueue,
-    LifecycleConfig, LifecycleEvent, LifecycleSchedule, LoadAdaptive, PathSet, PipelineSpec,
-    ReplicaGroup, ReplicaProfile, ResilienceConfig, RetryBudget, RetryPolicy, RoundRobin,
-    StageSpec,
+    BatchModel, ExpectedWait, Fifo, HedgePolicy, JoinShortestQueue, LifecycleConfig,
+    LifecycleEvent, LifecycleSchedule, LoadAdaptive, PathSet, PipelineSpec, ReplicaGroup,
+    ReplicaProfile, ResilienceConfig, RetryBudget, RetryPolicy, RoundRobin, Scenario, StageSpec,
 };
 
 /// Largest tolerated machine-normalized measured/baseline ratio.
@@ -271,40 +270,33 @@ fn main() {
         (
             "qsim_cluster/routed_10000q/jsq",
             Box::new(move || {
-                std::hint::black_box(fleet.serve_routed(
-                    &arrivals,
-                    &Fifo,
-                    &JoinShortestQueue,
-                    10_000,
-                    7,
-                ));
+                std::hint::black_box(
+                    Scenario::new(&fleet, &arrivals, 10_000, 7)
+                        .router(&JoinShortestQueue)
+                        .run()
+                        .expect("a routed run has no failure mode"),
+                );
             }),
         ),
         (
             "qsim_cluster/two_gen_10000q/expected_wait",
             Box::new(move || {
-                std::hint::black_box(two_gen.serve_routed(
-                    &two_gen_arrivals,
-                    &Fifo,
-                    &ExpectedWait,
-                    10_000,
-                    7,
-                ));
+                std::hint::black_box(
+                    Scenario::new(&two_gen, &two_gen_arrivals, 10_000, 7)
+                        .router(&ExpectedWait)
+                        .run()
+                        .expect("a routed run has no failure mode"),
+                );
             }),
         ),
         (
             "qsim_lifecycle/diurnal_failures_10000q",
             Box::new(move || {
                 std::hint::black_box(
-                    lifecycle_fleet
-                        .serve_lifecycle(
-                            &lifecycle_arrivals,
-                            &Fifo,
-                            &JoinShortestQueue,
-                            10_000,
-                            7,
-                            &lifecycle_cfg,
-                        )
+                    Scenario::new(&lifecycle_fleet, &lifecycle_arrivals, 10_000, 7)
+                        .router(&JoinShortestQueue)
+                        .lifecycle(&lifecycle_cfg)
+                        .run()
                         .expect("replica 0 recovers, so the run cannot strand work"),
                 );
             }),
@@ -313,17 +305,11 @@ fn main() {
             "qsim_multipath/brownout_ladder3_10000q",
             Box::new(move || {
                 std::hint::black_box(
-                    serve_multipath(
-                        &ladder,
-                        &ladder_arrivals,
-                        &Fifo,
-                        &JoinShortestQueue,
-                        &ladder_admission,
-                        10_000,
-                        7,
-                        &ladder_cfg,
-                    )
-                    .expect("no lifecycle schedule, so the run cannot strand work"),
+                    Scenario::multipath(&ladder, &ladder_admission, &ladder_arrivals, 10_000, 7)
+                        .router(&JoinShortestQueue)
+                        .lifecycle(&ladder_cfg)
+                        .run()
+                        .expect("no lifecycle schedule, so the run cannot strand work"),
                 );
             }),
         ),
@@ -331,16 +317,10 @@ fn main() {
             "qsim_resilience/hedged_limp_10000q",
             Box::new(move || {
                 std::hint::black_box(
-                    limp_fleet
-                        .serve_resilient(
-                            &limp_arrivals,
-                            &Fifo,
-                            &RoundRobin,
-                            10_000,
-                            7,
-                            &limp_cfg,
-                            &limp_resilience,
-                        )
+                    Scenario::new(&limp_fleet, &limp_arrivals, 10_000, 7)
+                        .lifecycle(&limp_cfg)
+                        .resilience(&limp_resilience)
+                        .run()
                         .expect("degrades never strand work"),
                 );
             }),

@@ -566,10 +566,10 @@ impl Engine {
     /// Runs the raw queueing simulation: `queries` Poisson arrivals at
     /// `qps` offered load, FIFO-scheduled.
     ///
-    /// Every other serving scenario — arrival processes, scheduling
+    /// Every other serving run — arrival processes, scheduling
     /// policies, routers, sharding, lifecycle, autoscaling, resilience —
-    /// is a [`PipelineSpec`] method run on [`spec`](Self::spec) with
-    /// [`seed`](Self::seed).
+    /// is a [`Scenario`](recpipe_qsim::Scenario) over
+    /// [`spec`](Self::spec) with [`seed`](Self::seed).
     ///
     /// # Examples
     ///
@@ -577,7 +577,7 @@ impl Engine {
     /// use recpipe_core::{Engine, Placement, PipelineConfig, StageConfig};
     /// use recpipe_data::MmppArrivals;
     /// use recpipe_models::ModelKind;
-    /// use recpipe_qsim::BatchWindow;
+    /// use recpipe_qsim::{BatchWindow, Scenario};
     ///
     /// let pipeline = PipelineConfig::builder()
     ///     .stage(StageConfig::new(ModelKind::RmSmall, 4096, 256))
@@ -590,9 +590,9 @@ impl Engine {
     ///
     /// // Bursty traffic served with a 2 ms batch window.
     /// let bursty = MmppArrivals::new(50.0, 400.0, 0.5, 0.1);
-    /// let result = engine
-    ///     .spec()
-    ///     .serve(&bursty, &BatchWindow::new(0.002), 2_000, engine.seed());
+    /// let result = Scenario::new(engine.spec(), &bursty, 2_000, engine.seed())
+    ///     .policy(&BatchWindow::new(0.002))
+    ///     .run()?;
     /// assert_eq!(result.completed, 2_000);
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
@@ -651,7 +651,7 @@ mod tests {
     use crate::StageConfig;
     use recpipe_hwsim::StageWork;
     use recpipe_models::ModelKind;
-    use recpipe_qsim::ReplicaGroup;
+    use recpipe_qsim::{ReplicaGroup, Scenario};
 
     fn two_stage() -> PipelineConfig {
         PipelineConfig::builder()
@@ -908,15 +908,19 @@ mod tests {
         // Without batching, the spec's general run is bit-identical to
         // the QPS interface on the same seed.
         use recpipe_data::PoissonArrivals;
-        use recpipe_qsim::Fifo;
         let engine = Engine::commodity(two_stage())
             .quality_queries(20)
             .build()
             .unwrap();
         let legacy = engine.serve(300.0, 1_500);
-        let v2 = engine
-            .spec()
-            .serve(&PoissonArrivals::new(300.0), &Fifo, 1_500, engine.seed());
+        let v2 = Scenario::new(
+            engine.spec(),
+            &PoissonArrivals::new(300.0),
+            1_500,
+            engine.seed(),
+        )
+        .run()
+        .unwrap();
         assert_eq!(legacy, v2);
     }
 
@@ -973,12 +977,15 @@ mod tests {
         // — only weight streaming and the lanes-side compute shrink.
         let overload = per_query.max_qps() * 1.5;
         let fifo = per_query.serve(overload, 4_000);
-        let windowed = batched.spec().serve(
+        let windowed = Scenario::new(
+            batched.spec(),
             &PoissonArrivals::new(overload),
-            &BatchWindow::new(0.002),
             4_000,
             batched.seed(),
-        );
+        )
+        .policy(&BatchWindow::new(0.002))
+        .run()
+        .unwrap();
         assert!(fifo.saturated);
         assert!(
             windowed.qps > fifo.qps * 1.01,
@@ -1070,20 +1077,22 @@ mod tests {
     #[test]
     fn heterogeneous_fleet_serves_with_speed_aware_routing() {
         use recpipe_data::PoissonArrivals;
-        use recpipe_qsim::{ExpectedWait, Fifo};
+        use recpipe_qsim::ExpectedWait;
         let mixed = Engine::commodity(two_stage())
             .placement(Placement::cpu_only(2))
             .fleet(0, FleetSpec::mixed(&[(2, 1.0), (2, 0.5)]))
             .quality_queries(20)
             .build()
             .unwrap();
-        let out = mixed.spec().serve_routed(
+        let out = Scenario::new(
+            mixed.spec(),
             &PoissonArrivals::new(0.8 * mixed.max_qps()),
-            &Fifo,
-            &ExpectedWait,
             3_000,
             mixed.seed(),
-        );
+        )
+        .router(&ExpectedWait)
+        .run()
+        .unwrap();
         assert_eq!(out.completed, 3_000);
         assert!(!out.saturated);
         // The router saw the real 4-replica mixed fleet.
@@ -1093,22 +1102,27 @@ mod tests {
     #[test]
     fn serve_routed_on_unreplicated_engine_matches_serve() {
         use recpipe_data::PoissonArrivals;
-        use recpipe_qsim::{Fifo, JoinShortestQueue};
+        use recpipe_qsim::JoinShortestQueue;
         let engine = Engine::commodity(two_stage())
             .quality_queries(20)
             .build()
             .unwrap();
         let arrivals = PoissonArrivals::new(250.0);
         let spec = engine.spec();
-        let plain = spec.serve(&arrivals, &Fifo, 1_500, engine.seed());
-        let routed = spec.serve_routed(&arrivals, &Fifo, &JoinShortestQueue, 1_500, engine.seed());
+        let plain = Scenario::new(spec, &arrivals, 1_500, engine.seed())
+            .run()
+            .unwrap();
+        let routed = Scenario::new(spec, &arrivals, 1_500, engine.seed())
+            .router(&JoinShortestQueue)
+            .run()
+            .unwrap();
         assert_eq!(plain, routed);
     }
 
     #[test]
     fn replication_rescues_an_engine_past_single_pool_capacity() {
         use recpipe_data::PoissonArrivals;
-        use recpipe_qsim::{Fifo, JoinShortestQueue};
+        use recpipe_qsim::JoinShortestQueue;
         let single = Engine::commodity(two_stage())
             .placement(Placement::gpu_only(2))
             .quality_queries(20)
@@ -1122,13 +1136,15 @@ mod tests {
             .quality_queries(20)
             .build()
             .unwrap();
-        let out = fleet.spec().serve_routed(
+        let out = Scenario::new(
+            fleet.spec(),
             &PoissonArrivals::new(overload),
-            &Fifo,
-            &JoinShortestQueue,
             3_000,
             fleet.seed(),
-        );
+        )
+        .router(&JoinShortestQueue)
+        .run()
+        .unwrap();
         assert!(!out.saturated);
         assert_eq!(out.completed, 3_000);
         // The router saw a real 4-replica GPU fleet.
@@ -1138,7 +1154,7 @@ mod tests {
     #[test]
     fn autoscaled_run_resizes_the_fleet_through_the_policy_seam() {
         use recpipe_data::PoissonArrivals;
-        use recpipe_qsim::{AutoscaleConfig, Fifo, JoinShortestQueue};
+        use recpipe_qsim::{AutoscaleConfig, JoinShortestQueue};
         let fleet = Engine::commodity(two_stage())
             .placement(Placement::cpu_only(2))
             .replicas(0, 4)
@@ -1147,18 +1163,16 @@ mod tests {
             .unwrap();
         let cfg = AutoscaleConfig::new(0, 1, 4, 0.5).with_initial_replicas(1);
         let mut policy = crate::ReactiveScaling::new(0.6, 4.0);
-        let out = fleet
-            .spec()
-            .serve_autoscaled(
-                &PoissonArrivals::new(0.5 * fleet.max_qps()),
-                &Fifo,
-                &JoinShortestQueue,
-                3_000,
-                fleet.seed(),
-                &cfg,
-                &mut crate::AsController(&mut policy),
-            )
-            .unwrap();
+        let out = Scenario::new(
+            fleet.spec(),
+            &PoissonArrivals::new(0.5 * fleet.max_qps()),
+            3_000,
+            fleet.seed(),
+        )
+        .router(&JoinShortestQueue)
+        .autoscale(&cfg, &mut policy)
+        .run()
+        .unwrap();
         // The closed loop completed every query, recorded telemetry,
         // and grew the fleet past its 1-replica starting point (half
         // the 4-replica capacity overloads a single replica).

@@ -14,14 +14,12 @@
 //!   reduced to a [`ParetoFront`](recpipe_metrics::ParetoFront) of
 //!   outcomes;
 //! * [`Engine::serve`] → a raw at-scale queueing simulation; every
-//!   richer serving scenario is a
-//!   [`PipelineSpec`](recpipe_qsim::PipelineSpec) method run on
-//!   [`Engine::spec`] with [`Engine::seed`];
-//! * [`AsController`] → a closed-loop autoscaled run driven by a
-//!   [`ScalingPolicy`] ([`ReactiveScaling`] or [`PredictiveScaling`])
-//!   resizing the fleet through warm-up and drains, via
-//!   [`PipelineSpec::serve_autoscaled`](recpipe_qsim::PipelineSpec::serve_autoscaled);
-//! * [`Engine::paths`] + [`serve_multipath`](recpipe_qsim::serve_multipath)
+//!   richer serving run is a [`Scenario`](recpipe_qsim::Scenario) over
+//!   [`Engine::spec`] with [`Engine::seed`] — including closed-loop
+//!   autoscaling, where [`ReactiveScaling`] or [`PredictiveScaling`]
+//!   resizes the fleet through warm-up and drains
+//!   ([`Scenario::autoscale`](recpipe_qsim::Scenario::autoscale));
+//! * [`Engine::paths`] + [`Scenario::multipath`](recpipe_qsim::Scenario::multipath)
 //!   → multi-path quality-elastic serving: a [`PathSetBuilder`]
 //!   assembles degraded alternates over the same machines and an
 //!   [`AdmissionPolicy`](recpipe_qsim::AdmissionPolicy) picks a path
@@ -73,7 +71,7 @@ mod resilience;
 mod scheduler;
 mod stage;
 
-pub use autoscale::{AsController, PredictiveScaling, ReactiveScaling, ScalingPolicy};
+pub use autoscale::{PredictiveScaling, ReactiveScaling};
 pub use backend::{
     build_serving_spec, build_spec, Backend, FleetSpec, Placement, StageSite,
     INTERMEDIATE_BYTES_PER_ITEM,

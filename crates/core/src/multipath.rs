@@ -9,7 +9,7 @@
 //!   engine's own pipeline, each alternate a (typically lighter)
 //!   pipeline contending for the same machines — measuring each path's
 //!   NDCG with the engine's Monte-Carlo evaluator;
-//! * [`serve_multipath`](recpipe_qsim::serve_multipath) runs the
+//! * [`Scenario::multipath`](recpipe_qsim::Scenario::multipath) runs the
 //!   per-query admission loop (see
 //!   [`AdmissionPolicy`](recpipe_qsim::AdmissionPolicy));
 //! * [`AdmissionSweep`] grids admission-policy knobs over one path set
@@ -20,7 +20,7 @@
 use recpipe_data::ArrivalProcess;
 use recpipe_qsim::{
     AdmissionPolicy, AlwaysPrimary, DeadlineAware, LifecycleConfig, LoadAdaptive, PathSet,
-    PathStats, Router, SchedulingPolicy,
+    PathStats, Router, Scenario, SchedulingPolicy,
 };
 use serde::{Deserialize, Serialize};
 
@@ -54,7 +54,7 @@ struct PlannedPath {
 /// use recpipe_core::{Engine, Placement, PipelineConfig, StageConfig};
 /// use recpipe_data::PoissonArrivals;
 /// use recpipe_models::ModelKind;
-/// use recpipe_qsim::{serve_multipath, Fifo, LifecycleConfig, LoadAdaptive, RoundRobin};
+/// use recpipe_qsim::{LoadAdaptive, Scenario};
 ///
 /// let full = PipelineConfig::builder()
 ///     .stage(StageConfig::new(ModelKind::RmSmall, 4096, 256))
@@ -73,16 +73,9 @@ struct PlannedPath {
 /// assert_eq!(paths.num_paths(), 2);
 /// assert!(paths.quality(0) > paths.quality(1));
 ///
-/// let out = serve_multipath(
-///     &paths,
-///     &PoissonArrivals::new(200.0),
-///     &Fifo,
-///     &RoundRobin,
-///     &LoadAdaptive::new(0.8, 0.5),
-///     1_000,
-///     engine.seed(),
-///     &LifecycleConfig::default(),
-/// )?;
+/// let admission = LoadAdaptive::new(0.8, 0.5);
+/// let arrivals = PoissonArrivals::new(200.0);
+/// let out = Scenario::multipath(&paths, &admission, &arrivals, 1_000, engine.seed()).run()?;
 /// assert_eq!(out.paths.len(), 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -283,16 +276,11 @@ impl AdmissionSweep {
     ) -> Result<Vec<BrownoutOutcome>, EngineError> {
         let mut out = Vec::new();
         for admission in self.policies() {
-            let mut sim = recpipe_qsim::serve_multipath(
-                paths,
-                arrivals,
-                policy,
-                router,
-                admission.as_ref(),
-                queries,
-                seed,
-                cfg,
-            )?;
+            let mut sim = Scenario::multipath(paths, admission.as_ref(), arrivals, queries, seed)
+                .policy(policy)
+                .router(router)
+                .lifecycle(cfg)
+                .run()?;
             let lost = sim.shed + sim.dropped;
             out.push(BrownoutOutcome {
                 policy: admission.name(),
@@ -383,25 +371,17 @@ mod tests {
     }
 
     #[test]
-    fn single_path_serve_multipath_matches_serve_routed() {
+    fn single_path_multipath_matches_the_routed_run() {
         let engine = quick_engine();
         let paths = engine.paths().build().unwrap();
         let arrivals = PoissonArrivals::new(300.0);
-        let mut multi = recpipe_qsim::serve_multipath(
-            &paths,
-            &arrivals,
-            &Fifo,
-            &RoundRobin,
-            &AlwaysPrimary,
-            1_500,
-            engine.seed(),
-            &LifecycleConfig::default(),
-        )
-        .unwrap();
-        let routed =
-            engine
-                .spec()
-                .serve_routed(&arrivals, &Fifo, &RoundRobin, 1_500, engine.seed());
+        let mut multi =
+            Scenario::multipath(&paths, &AlwaysPrimary, &arrivals, 1_500, engine.seed())
+                .run()
+                .unwrap();
+        let routed = Scenario::new(engine.spec(), &arrivals, 1_500, engine.seed())
+            .run()
+            .unwrap();
         multi.paths.clear();
         multi.admission_shed = 0;
         assert_eq!(multi, routed);

@@ -24,7 +24,7 @@
 //! * [`PathProfile`] — per-path analytic signals (quality, zero-load
 //!   latency floor, capacity bounds) policies reason over.
 //! * Built-ins: [`AlwaysPrimary`] (the degenerate single-path case,
-//!   bit-identical to [`PipelineSpec::serve_routed`]),
+//!   bit-identical to the plain routed run),
 //!   [`DeadlineAware`] (slack-based downgrade), and [`LoadAdaptive`]
 //!   (utilization-knee brown-out with hysteresis).
 //!
@@ -128,9 +128,9 @@ impl PathSet {
     }
 
     /// Wraps one complete pipeline as a single-path set — the
-    /// degenerate case [`serve_multipath`](crate::serve_multipath)
-    /// replays bit-identically to [`PipelineSpec::serve_routed`]
-    /// under [`AlwaysPrimary`].
+    /// degenerate case [`Scenario::multipath`](crate::Scenario::multipath)
+    /// replays bit-identically to the plain routed run under
+    /// [`AlwaysPrimary`].
     ///
     /// # Panics
     ///
@@ -393,7 +393,7 @@ pub trait AdmissionPolicy {
 }
 
 /// The degenerate policy: every query takes the primary path. On a
-/// single-path set this replays [`PipelineSpec::serve_routed`]
+/// single-path set this replays the plain routed run
 /// bit-for-bit — the frozen-reference pin for the multi-path loop.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AlwaysPrimary;

@@ -37,10 +37,13 @@
 //! * **Queries** flow through stages in order; per-query end-to-end
 //!   latency lands in a [`LatencyStats`](recpipe_metrics::LatencyStats).
 //!
-//! Every single-pipeline run is a [`PipelineSpec`] method:
-//! [`simulate`](PipelineSpec::simulate) for the paper's Poisson/FIFO
-//! setup, and the `serve*` family for richer scenarios. Multi-path runs
-//! take a [`PathSet`] through [`serve_multipath`].
+//! Every run is a [`Scenario`]: a pipeline (or a multi-path
+//! [`PathSet`]), arrivals, a query count and a seed, plus the optional
+//! policy, router, lifecycle, autoscaling, resilience and sharding
+//! settings. [`Scenario::run`] alone decides which runtimes the event
+//! loop enables, and rejects combinations it does not support with a
+//! typed [`SimError`]. [`PipelineSpec::simulate`] is the paper's
+//! Poisson/FIFO shorthand.
 //!
 //! # Examples
 //!
@@ -55,23 +58,6 @@
 //! assert!(!result.saturated);
 //! assert!(result.p99_seconds() < 0.050);
 //! ```
-//!
-//! Batched serving under bursty traffic with a batch-window policy:
-//!
-//! ```
-//! use recpipe_data::MmppArrivals;
-//! use recpipe_qsim::{BatchModel, BatchWindow, PipelineSpec, ReplicaGroup, StageSpec};
-//!
-//! // A GPU-like stage: 4 ms per query, but a batch of 8 costs far less
-//! // than 8 single launches (marginal cost 0.2).
-//! let spec = PipelineSpec::new(vec![ReplicaGroup::new("gpu", 1)])
-//!     .with_stage(StageSpec::new("rank", 0, 1, 0.004).with_batch(BatchModel::new(8, 0.2)))
-//!     .expect("valid stage");
-//! let bursty = MmppArrivals::new(100.0, 800.0, 0.2, 0.05);
-//! let result = spec.serve(&bursty, &BatchWindow::new(0.002), 4_000, 7);
-//! assert_eq!(result.completed, 4_000);
-//! assert!(result.mean_batch > 1.0);
-//! ```
 
 mod admission;
 mod lifecycle;
@@ -79,6 +65,7 @@ mod policy;
 mod resilience;
 mod result;
 mod router;
+mod scenario;
 mod shard;
 mod sim;
 mod spec;
@@ -101,5 +88,5 @@ pub use router::{
     ExpectedWait, JoinShortestQueue, LeastWorkLeft, PowerOfTwoChoices, ReplicaLoads, RoundRobin,
     Router, RouterState, RoutingCtx, Sticky,
 };
-pub use sim::serve_multipath;
+pub use scenario::{serve_multipath, Scenario};
 pub use spec::{BatchModel, PipelineSpec, ReplicaGroup, ReplicaProfile, SpecError, StageSpec};

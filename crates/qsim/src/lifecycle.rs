@@ -268,7 +268,7 @@ pub enum FailurePolicy {
     Shed,
 }
 
-/// Error surfaced by a lifecycle-aware simulation run.
+/// Error surfaced by [`Scenario::run`](crate::Scenario::run).
 #[derive(Debug, Clone, PartialEq)]
 pub enum SimError {
     /// A query arrived at a resource group whose replicas are all down,
@@ -280,6 +280,21 @@ pub enum SimError {
         /// Simulation time of the unroutable arrival.
         time: f64,
     },
+    /// The [`Scenario`](crate::Scenario) breaks a run precondition: no
+    /// stages, no paths, no queries, an autoscale group or ceiling
+    /// outside the fleet, or a resilient run past the packed-event
+    /// bounds (4,095 stages, 255 attempts).
+    InvalidScenario {
+        /// The violated precondition.
+        reason: String,
+    },
+    /// The [`Scenario`](crate::Scenario) gives a setting twice, or
+    /// combines runtimes no run supports (any two of autoscaling,
+    /// resilience and multi-path admission).
+    Unsupported {
+        /// The offending setting or combination.
+        reason: &'static str,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -289,6 +304,8 @@ impl std::fmt::Display for SimError {
                 f,
                 "no available replica in resource group {group} at t={time:.3}s and no revival pending"
             ),
+            SimError::InvalidScenario { reason } => write!(f, "{reason}"),
+            SimError::Unsupported { reason } => write!(f, "unsupported scenario: {reason}"),
         }
     }
 }
@@ -320,7 +337,7 @@ pub struct WindowStats {
     pub dropped: usize,
     /// Queries that exhausted their timeout (and any retry allowance)
     /// during the window. Always zero outside resilience-aware runs
-    /// (see [`serve_resilient`](crate::PipelineSpec::serve_resilient)).
+    /// (see [`Scenario::resilience`](crate::Scenario::resilience)).
     pub timed_out: usize,
     /// p99 latency of the window's completions in seconds (0.0 when the
     /// window completed nothing).
@@ -338,7 +355,7 @@ pub struct WindowStats {
     /// at 0.5), averaged over the window.
     pub cost: f64,
     /// Queries admitted onto each path during the window, in path order
-    /// (see [`serve_multipath`](crate::serve_multipath)). Empty outside
+    /// (see [`Scenario::multipath`](crate::Scenario::multipath)). Empty outside
     /// multi-path runs.
     pub path_admitted: Vec<usize>,
     /// Queries completing each path during the window, in path order.
@@ -487,7 +504,7 @@ pub trait FleetController {
 }
 
 /// Options for a lifecycle-aware run
-/// ([`serve_lifecycle`](crate::PipelineSpec::serve_lifecycle)): how failures treat
+/// ([`Scenario::lifecycle`](crate::Scenario::lifecycle)): how failures treat
 /// stranded work, how slowly warming replicas serve, and whether to
 /// record windowed telemetry.
 #[derive(Debug, Clone, PartialEq)]
@@ -556,7 +573,7 @@ impl LifecycleConfig {
 }
 
 /// Options for a closed-loop autoscaled run
-/// ([`serve_autoscaled`](crate::PipelineSpec::serve_autoscaled)): which resource
+/// ([`Scenario::autoscale`](crate::Scenario::autoscale)): which resource
 /// group a [`FleetController`] resizes, within what band, and on what
 /// cadence. The spec's group must hold `max_replicas` slots — the
 /// controller provisions and drains within them.

@@ -83,7 +83,7 @@
 //! # Availability masking
 //!
 //! Under the replica lifecycle (see
-//! [`serve_lifecycle`](crate::PipelineSpec::serve_lifecycle)), routers only ever see
+//! [`Scenario::lifecycle`](crate::Scenario::lifecycle)), routers only ever see
 //! *routable* replicas — up or warming ones. When any replica of a
 //! group is draining or down, the simulator compacts the routable
 //! subset into a dense [`ReplicaLoads`] view and remaps the query's

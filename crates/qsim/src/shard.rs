@@ -10,8 +10,9 @@
 //!
 //! # Determinism
 //!
-//! [`PipelineSpec::serve_routed_sharded`] produces the *same*
-//! [`SimResult`] as [`PipelineSpec::serve_routed`] for any worker count,
+//! A sharded run ([`Scenario::workers`](crate::Scenario::workers))
+//! produces the *same* [`SimResult`] as the serial loop for any worker
+//! count,
 //! including 1 (the property tests pin this across the router × policy
 //! × replica × batching matrix). Three invariants carry the proof:
 //!
@@ -45,16 +46,15 @@
 //! (same results, one thread): single-stage pipelines, stages sharing
 //! a resource group (one slot would need two owners), closed-loop
 //! arrivals (completions feed back to admissions, coupling tail to
-//! head), and non-positive service times. Lifecycle and autoscaled
-//! runs always take [`PipelineSpec::serve_lifecycle`] /
-//! [`PipelineSpec::serve_autoscaled`], which are serial.
+//! head), and non-positive service times. Scenarios with a lifecycle,
+//! autoscaling, resilience or multi-path runtime never reach this
+//! module: [`Scenario::run`](crate::Scenario::run) runs them serially.
 
 use std::sync::mpsc;
 
-use recpipe_data::ArrivalProcess;
-
+use crate::scenario::Workload;
 use crate::sim::{ShardOutcome, ShardSink, ShardSource, Sim};
-use crate::{PipelineSpec, Router, SchedulingPolicy, SimResult};
+use crate::SimResult;
 
 /// Completion tuples per channel send: large enough to amortize the
 /// channel's synchronization, small enough to keep the stage pipeline
@@ -158,9 +158,9 @@ impl ShardSource for ChanSource {
 
 /// Whether the per-stage decomposition applies (see the module docs
 /// for why each condition is load-bearing).
-fn shardable(spec: &PipelineSpec, arrivals: &dyn ArrivalProcess) -> bool {
-    let stages = spec.stages();
-    if stages.len() < 2 || arrivals.closed_loop().is_some() {
+fn shardable(w: &Workload) -> bool {
+    let stages = w.spec.stages();
+    if stages.len() < 2 || w.arrivals.closed_loop().is_some() {
         return false;
     }
     if stages.iter().any(|s| s.service_time <= 0.0) {
@@ -174,88 +174,44 @@ fn shardable(spec: &PipelineSpec, arrivals: &dyn ArrivalProcess) -> bool {
     true
 }
 
-impl PipelineSpec {
-    /// Runs the cluster-aware simulation sharded by pipeline stage: one
-    /// shard (and, with `workers > 1`, one thread) per stage, chained by
-    /// bounded hand-off channels, merged into a [`SimResult`]
-    /// **identical to [`serve_routed`](Self::serve_routed)** on the same
-    /// inputs (see the module docs for the determinism argument).
-    ///
-    /// `workers` is a parallelism *cap*, not a shard count: `0`
-    /// resolves to the machine's available parallelism, `1` runs the
-    /// shards sequentially on the calling thread (buffering each
-    /// boundary), and anything higher runs one thread per stage. The
-    /// result never depends on `workers`.
-    ///
-    /// Specs outside the decomposition's reach (single stage, stages
-    /// sharing a resource group, closed-loop arrivals, non-positive
-    /// service times) silently fall back to the serial loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline has no stages or `num_queries == 0`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn serve_routed_sharded(
-        &self,
-        arrivals: &(dyn ArrivalProcess + Sync),
-        policy: &(dyn SchedulingPolicy + Sync),
-        router: &(dyn Router + Sync),
-        num_queries: usize,
-        seed: u64,
-        workers: usize,
-    ) -> SimResult {
-        self.assert_runnable(num_queries);
-        if !shardable(self, arrivals) {
-            return self.serve_routed(arrivals, policy, router, num_queries, seed);
-        }
-        // simlint: allow(shard-nondet) -- worker count only picks the execution strategy
-        let workers = if workers == 0 {
-            // simlint: allow(shard-nondet) -- sizes the thread pool only; per-shard
-            // results are computed independently and merged in shard order, so the
-            // merged output is invariant to how many workers ran (proved by the
-            // sharded == serial frozen-reference proptests).
-            std::thread::available_parallelism().map_or(1, |p| p.get())
-        } else {
-            workers
-        };
-        let stages = self.stages().len();
-        // simlint: allow(shard-nondet) -- sequential vs threaded produce identical
-        // shard outcomes; the branch only avoids thread spawn overhead at 1 worker.
-        let outcomes = if workers <= 1 {
-            run_sequential(self, arrivals, policy, router, num_queries, seed, stages)
-        } else {
-            run_threaded(self, arrivals, policy, router, num_queries, seed, stages)
-        };
-        merge(self, arrivals, outcomes)
+/// Runs a runtime-free workload sharded by pipeline stage (see
+/// [`Scenario::workers`](crate::Scenario::workers)), merged into the
+/// serial loop's [`SimResult`]; `None` when the spec does not
+/// decompose. `workers` only picks sequential shards or one thread per
+/// stage; it never changes the result.
+pub(crate) fn run_sharded(w: &Workload, workers: usize) -> Option<SimResult> {
+    if !shardable(w) {
+        return None;
     }
+    // simlint: allow(shard-nondet) -- worker count only picks the execution strategy
+    let workers = if workers == 0 {
+        // simlint: allow(shard-nondet) -- sizes the thread pool only; per-shard
+        // results are computed independently and merged in shard order, so the
+        // merged output is invariant to how many workers ran (proved by the
+        // sharded == serial frozen-reference proptests).
+        std::thread::available_parallelism().map_or(1, |p| p.get())
+    } else {
+        workers
+    };
+    // simlint: allow(shard-nondet) -- sequential vs threaded produce identical
+    // shard outcomes; the branch only avoids thread spawn overhead at 1 worker.
+    let outcomes = if workers <= 1 {
+        run_sequential(w)
+    } else {
+        run_threaded(w)
+    };
+    Some(merge(w, outcomes))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_sequential(
-    spec: &PipelineSpec,
-    arrivals: &dyn ArrivalProcess,
-    policy: &dyn SchedulingPolicy,
-    router: &dyn Router,
-    num_queries: usize,
-    seed: u64,
-    stages: usize,
-) -> Vec<ShardOutcome> {
+fn run_sequential(w: &Workload) -> Vec<ShardOutcome> {
+    let stages = w.spec.stages().len();
     let mut outcomes = Vec::with_capacity(stages);
     let mut carry: Option<Vec<Tuple>> = None;
     for stage in 0..stages {
         let last = stage + 1 == stages;
         let mut sink = VecSink::default();
         let out: Option<&mut dyn ShardSink> = if last { None } else { Some(&mut sink) };
-        let sim = Sim::new_shard(
-            spec,
-            arrivals,
-            policy,
-            router,
-            num_queries,
-            seed,
-            stage,
-            out,
-        );
+        let sim = Sim::new_shard(w, stage, out);
         let outcome = match carry.take() {
             None => sim.run_shard(stage, None),
             Some(buf) => {
@@ -273,16 +229,8 @@ fn run_sequential(
     outcomes
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_threaded(
-    spec: &PipelineSpec,
-    arrivals: &(dyn ArrivalProcess + Sync),
-    policy: &(dyn SchedulingPolicy + Sync),
-    router: &(dyn Router + Sync),
-    num_queries: usize,
-    seed: u64,
-    stages: usize,
-) -> Vec<ShardOutcome> {
+fn run_threaded(w: &Workload) -> Vec<ShardOutcome> {
+    let stages = w.spec.stages().len();
     // One bounded channel per stage boundary, wired up front.
     let mut txs = Vec::with_capacity(stages - 1);
     let mut rxs = Vec::with_capacity(stages - 1);
@@ -302,16 +250,7 @@ fn run_threaded(
             handles.push(scope.spawn(move || {
                 let mut sink = tx.map(ChanSink::new);
                 let out = sink.as_mut().map(|s| s as &mut dyn ShardSink);
-                let sim = Sim::new_shard(
-                    spec,
-                    arrivals,
-                    policy,
-                    router,
-                    num_queries,
-                    seed,
-                    stage,
-                    out,
-                );
+                let sim = Sim::new_shard(w, stage, out);
                 let outcome = match input_rx {
                     None => sim.run_shard(stage, None),
                     Some(rx) => {
@@ -335,11 +274,7 @@ fn run_threaded(
 /// Deterministic merge of the per-stage shard outcomes into the
 /// serial loop's result, through the same [`ShardOutcome::into_result`]
 /// arithmetic.
-fn merge(
-    spec: &PipelineSpec,
-    arrivals: &dyn ArrivalProcess,
-    mut outcomes: Vec<ShardOutcome>,
-) -> SimResult {
+fn merge(w: &Workload, mut outcomes: Vec<ShardOutcome>) -> SimResult {
     let arrival_span = outcomes[0].arrival_span;
     let last_time = outcomes.iter().fold(0.0f64, |m, o| m.max(o.last_time));
     let launches: u64 = outcomes.iter().map(|o| o.launches).sum();
@@ -366,9 +301,9 @@ fn merge(
         ..tail
     }
     .into_result(
-        spec,
-        arrivals.mean_rate(),
-        Some(spec.max_qps_at_full_batch()),
+        w.spec,
+        w.arrivals.mean_rate(),
+        Some(w.spec.max_qps_at_full_batch()),
     )
     .with_lifecycle_outcome(0, 0, 0.0, Vec::new())
 }

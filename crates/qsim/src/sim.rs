@@ -2,14 +2,15 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::time::Duration;
 
-use recpipe_data::{ArrivalProcess, PoissonArrivals};
+use recpipe_data::ArrivalProcess;
 use recpipe_metrics::{LatencyStats, ThroughputMeter};
 
+use crate::scenario::Workload;
 use crate::{
-    Admission, AdmissionCtx, AdmissionPolicy, AdmissionState, AutoscaleConfig, FailurePolicy, Fifo,
+    Admission, AdmissionCtx, AdmissionPolicy, AdmissionState, AutoscaleConfig, FailurePolicy,
     FleetController, HedgeDelay, HedgePolicy, LifecycleAction, LifecycleConfig, LifecycleEvent,
     PathProfile, PathSet, PathStats, PipelineSpec, QueueEntry, Release, ReplicaLoads,
-    ResilienceConfig, ResilienceStats, RetryPolicy, RoundRobin, Router, RouterState, RoutingCtx,
+    ResilienceConfig, ResilienceStats, RetryPolicy, Router, RouterState, RoutingCtx,
     SchedulingPolicy, SimError, SimResult, StageSpec, WindowStats,
 };
 
@@ -124,7 +125,7 @@ const _: () = {
 /// keeps resilience-free runs bit-exact.
 const RES_STAGE_BITS: u32 = 12;
 /// Mask extracting the stage from a packed arrive payload.
-const RES_STAGE_MASK: u32 = (1 << RES_STAGE_BITS) - 1;
+pub(crate) const RES_STAGE_MASK: u32 = (1 << RES_STAGE_BITS) - 1;
 /// Mask for the 19 generation bits carried in packed arrive payloads.
 /// Full 32-bit generations live in `ResilienceRt::gen`; payload
 /// comparisons mask both sides (a mis-match would need 2^19 same-query
@@ -350,292 +351,6 @@ impl BatchQueries {
             BatchQueries::Many(v) => v.len(),
         }
     }
-}
-
-/// The single-spec runs. Each method picks which `Sim` runtimes it
-/// enables (`enable_lifecycle`, `enable_autoscale`,
-/// `enable_resilience`); the stage-sharded run lives in shard.rs.
-impl PipelineSpec {
-    /// The preconditions every single-spec run shares.
-    pub(crate) fn assert_runnable(&self, num_queries: usize) {
-        assert!(!self.stages().is_empty(), "pipeline has no stages");
-        assert!(num_queries > 0, "need at least one query");
-    }
-
-    /// A serial simulator for one run of this spec, after
-    /// [`assert_runnable`](Self::assert_runnable).
-    fn sim<'a>(
-        &'a self,
-        arrivals: &'a dyn ArrivalProcess,
-        policy: &'a dyn SchedulingPolicy,
-        router: &'a dyn Router,
-        num_queries: usize,
-        seed: u64,
-    ) -> Sim<'a> {
-        self.assert_runnable(num_queries);
-        Sim::new(self, arrivals, policy, router, num_queries, seed)
-    }
-
-    /// Runs the discrete-event simulation at `qps` Poisson offered load
-    /// for `num_queries` queries with the given seed: FIFO scheduling,
-    /// round-robin routing.
-    ///
-    /// This is [`serve`](Self::serve) under Poisson arrivals and
-    /// [`Fifo`], kept because nearly every experiment in the repository
-    /// speaks in offered QPS. Since all stages built by
-    /// [`StageSpec::new`] are per-query, it reproduces the pre-batching
-    /// simulator bit-for-bit on the same seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline has no stages, `num_queries == 0`, or
-    /// `qps` is not strictly positive.
-    pub fn simulate(&self, qps: f64, num_queries: usize, seed: u64) -> SimResult {
-        assert!(qps.is_finite() && qps > 0.0, "qps must be positive");
-        self.serve(&PoissonArrivals::new(qps), &Fifo, num_queries, seed)
-    }
-
-    /// Runs the batching-aware discrete-event simulation with
-    /// [`RoundRobin`] replica routing (see
-    /// [`serve_routed`](Self::serve_routed) for an explicit router; on
-    /// single-replica pipelines the router is irrelevant).
-    ///
-    /// Queries are injected by `arrivals` (open-loop schedules, or
-    /// closed-loop client feedback) and traverse the stages in order.
-    /// Each stage's waiting work queues on one replica of its resource
-    /// group; `policy` decides when a batch launches (see
-    /// [`SchedulingPolicy`]); a launched batch holds the stage's `units`
-    /// on that replica for the batch service time given by the stage's
-    /// [`BatchModel`](crate::BatchModel).
-    ///
-    /// The first 5% of queries are discarded as warmup. The run is
-    /// marked `saturated` when an open-loop offered load exceeds the
-    /// pipeline's fully-batched analytic capacity, or a backlog persists
-    /// at the end of the run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline has no stages or `num_queries == 0`.
-    pub fn serve(
-        &self,
-        arrivals: &dyn ArrivalProcess,
-        policy: &dyn SchedulingPolicy,
-        num_queries: usize,
-        seed: u64,
-    ) -> SimResult {
-        self.serve_routed(arrivals, policy, &RoundRobin, num_queries, seed)
-    }
-
-    /// Runs the cluster-aware discrete-event simulation: `router` picks
-    /// a replica per query at every stage, then `policy` schedules
-    /// batches within each replica's private queue (batches never span
-    /// replicas).
-    ///
-    /// On a pipeline whose groups are all single-replica the router has
-    /// no choices and every router produces identical results — the
-    /// output matches [`serve`](Self::serve) exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline has no stages or `num_queries == 0`.
-    pub fn serve_routed(
-        &self,
-        arrivals: &dyn ArrivalProcess,
-        policy: &dyn SchedulingPolicy,
-        router: &dyn Router,
-        num_queries: usize,
-        seed: u64,
-    ) -> SimResult {
-        self.sim(arrivals, policy, router, num_queries, seed)
-            .run()
-            .expect("lifecycle-free simulation cannot fail")
-    }
-
-    /// Runs the lifecycle-aware simulation: every group's attached
-    /// [`LifecycleSchedule`](crate::LifecycleSchedule) replays as timed
-    /// availability events (warm-up, drains, fail-stops, recoveries),
-    /// routers see only available (up or warming) replicas, and `cfg`
-    /// picks the [`FailurePolicy`] for stranded work plus an optional
-    /// telemetry window. With only empty schedules and no window the
-    /// run is bit-identical to [`serve_routed`](Self::serve_routed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NoAvailableReplica`] when a query arrives at
-    /// a fully-down group under [`FailurePolicy::Requeue`] and no
-    /// provision or recovery is pending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline has no stages or `num_queries == 0`.
-    pub fn serve_lifecycle(
-        &self,
-        arrivals: &dyn ArrivalProcess,
-        policy: &dyn SchedulingPolicy,
-        router: &dyn Router,
-        num_queries: usize,
-        seed: u64,
-        cfg: &LifecycleConfig,
-    ) -> Result<SimResult, SimError> {
-        let mut sim = self.sim(arrivals, policy, router, num_queries, seed);
-        sim.enable_lifecycle(cfg);
-        sim.run()
-    }
-
-    /// Runs the closed-loop autoscaled simulation: a [`FleetController`]
-    /// sees each closing telemetry window and resizes `cfg.group`'s
-    /// fleet within `[cfg.min_replicas, cfg.max_replicas]` by
-    /// provisioning down replicas (through `cfg.warmup_s` of
-    /// reduced-speed warm-up) and draining live ones — drains finish
-    /// queued and in-flight work, so scale-down never kills live
-    /// queries. Replicas `cfg.initial_replicas..` of the group start
-    /// down; scheduled lifecycle events (failure injection, maintenance
-    /// drains) replay alongside the controller's actions.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NoAvailableReplica`] under
-    /// [`serve_lifecycle`](Self::serve_lifecycle)'s rule (arrivals at
-    /// the scaled group always park rather than fail — the controller
-    /// may yet provision).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline has no stages, `num_queries == 0`,
-    /// `cfg.group` is out of range, or `cfg.max_replicas` exceeds the
-    /// group's replica count.
-    #[allow(clippy::too_many_arguments)]
-    pub fn serve_autoscaled(
-        &self,
-        arrivals: &dyn ArrivalProcess,
-        policy: &dyn SchedulingPolicy,
-        router: &dyn Router,
-        num_queries: usize,
-        seed: u64,
-        cfg: &AutoscaleConfig,
-        controller: &mut dyn FleetController,
-    ) -> Result<SimResult, SimError> {
-        let groups = self.resources();
-        assert!(
-            cfg.group < groups.len(),
-            "autoscale group {} does not exist",
-            cfg.group
-        );
-        assert!(
-            cfg.max_replicas <= groups[cfg.group].replicas(),
-            "autoscale ceiling {} exceeds the group's {} replicas",
-            cfg.max_replicas,
-            groups[cfg.group].replicas()
-        );
-        let mut sim = self.sim(arrivals, policy, router, num_queries, seed);
-        let lifecycle = cfg.lifecycle.clone().with_window(cfg.window_s);
-        sim.enable_lifecycle(&lifecycle);
-        sim.enable_autoscale(cfg, controller);
-        sim.run()
-    }
-
-    /// Runs the query-level-resilient simulation: lifecycle schedules
-    /// replay as in [`serve_lifecycle`](Self::serve_lifecycle)
-    /// (including gray-failure [`Degrade`](crate::LifecycleAction::Degrade)
-    /// events — limping replicas keep accepting routes at a fraction of
-    /// profile speed), and `resilience` arms client-side machinery
-    /// around every query:
-    ///
-    /// * a per-attempt **timeout** — a fired timeout abandons the
-    ///   attempt (its queued or in-flight lanes cancel lazily and count
-    ///   as wasted work) and consults the [`RetryPolicy`]: re-dispatch
-    ///   from stage 0 after exponential, jittered backoff while attempts
-    ///   and the [`RetryBudget`](crate::RetryBudget) allow, else resolve
-    ///   the query timed-out-final;
-    /// * an optional **hedge** — after a fixed or quantile-derived
-    ///   delay, a duplicate lane dispatches to a different replica of
-    ///   the entry group; the first lane to finish wins and the loser is
-    ///   cancelled lazily.
-    ///
-    /// Per-run [`ResilienceStats`] land in
-    /// [`SimResult::resilience`](crate::SimResult::resilience);
-    /// timed-out queries count per-window in
-    /// [`WindowStats::timed_out`](crate::WindowStats::timed_out).
-    /// Conservation holds as `completed + shed + dropped + timed_out ==
-    /// num_queries` on open-loop runs. With an inert config (no timeout,
-    /// no hedge) the run is bit-identical to
-    /// [`serve_lifecycle`](Self::serve_lifecycle) (pinned by proptest).
-    /// Resilient runs always use the serial loop — lane duplication
-    /// breaks sharding's stage-independence.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NoAvailableReplica`] under
-    /// [`serve_lifecycle`](Self::serve_lifecycle)'s rule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline has no stages, `num_queries == 0`, the
-    /// pipeline has more than 4,095 stages, or the retry policy allows
-    /// more than 255 attempts (the packed-event layout's bounds).
-    #[allow(clippy::too_many_arguments)]
-    pub fn serve_resilient(
-        &self,
-        arrivals: &dyn ArrivalProcess,
-        policy: &dyn SchedulingPolicy,
-        router: &dyn Router,
-        num_queries: usize,
-        seed: u64,
-        cfg: &LifecycleConfig,
-        resilience: &ResilienceConfig,
-    ) -> Result<SimResult, SimError> {
-        let mut sim = self.sim(arrivals, policy, router, num_queries, seed);
-        sim.enable_lifecycle(cfg);
-        sim.enable_resilience(resilience, seed);
-        sim.run()
-    }
-}
-
-/// Runs the multi-path simulation: `admission` is consulted once per
-/// arriving query — with the instantaneous load snapshot, the per-path
-/// analytic profiles, and the last closed telemetry window — and either
-/// admits the query onto one of `paths`' pipelines (all sharing one
-/// replica fleet) or sheds it. Admitted queries traverse their path's
-/// stages under the usual router/policy machinery; per-path admissions,
-/// completions, losses, and latency land in
-/// [`SimResult::paths`](crate::SimResult::paths) (and per-window in
-/// [`WindowStats::path_admitted`](crate::WindowStats::path_admitted)
-/// when telemetry is on).
-///
-/// Lifecycle schedules on the shared fleet replay as in
-/// [`PipelineSpec::serve_lifecycle`]; with the default
-/// [`LifecycleConfig`] and a single-path set under
-/// [`AlwaysPrimary`](crate::AlwaysPrimary) the run is bit-identical to
-/// [`PipelineSpec::serve_routed`] (pinned by proptest).
-/// Multi-path runs always use the serial loop — sharding's
-/// stage-independence does not hold once arrival-time decisions pick
-/// among stage chains.
-///
-/// # Errors
-///
-/// Returns [`SimError::NoAvailableReplica`] under
-/// [`PipelineSpec::serve_lifecycle`]'s rule.
-///
-/// # Panics
-///
-/// Panics if the path set has no paths or `num_queries == 0`.
-#[allow(clippy::too_many_arguments)]
-pub fn serve_multipath(
-    paths: &PathSet,
-    arrivals: &dyn ArrivalProcess,
-    policy: &dyn SchedulingPolicy,
-    router: &dyn Router,
-    admission: &dyn AdmissionPolicy,
-    num_queries: usize,
-    seed: u64,
-    cfg: &LifecycleConfig,
-) -> Result<SimResult, SimError> {
-    assert!(paths.num_paths() > 0, "path set has no paths");
-    paths.spec().assert_runnable(num_queries);
-    let mut sim = Sim::new(paths.spec(), arrivals, policy, router, num_queries, seed);
-    sim.enable_lifecycle(cfg);
-    sim.enable_multipath(paths, admission, seed);
-    sim.run()
 }
 
 /// The simulator state. `#[repr(C)]` pins the declared field order in
@@ -919,10 +634,10 @@ const RQ_LIVE: u8 = 1;
 const RQ_DONE: u8 = 2;
 
 /// Query-level resilience runtime (see
-/// [`PipelineSpec::serve_resilient`]): per-query lane generations and
-/// attempt counts, the retry token bucket, the completed-latency
-/// reservoir behind quantile hedge delays, and the run's
-/// [`ResilienceStats`]. Boxed behind an `Option` at the
+/// [`Scenario::resilience`](crate::Scenario::resilience)): per-query
+/// lane generations and attempt counts, the retry token bucket, the
+/// completed-latency reservoir behind quantile hedge delays, and the
+/// run's [`ResilienceStats`]. Boxed behind an `Option` at the
 /// simulator's cold tail — resilience-free runs never touch it.
 struct ResilienceRt {
     /// Per-attempt timeout, if configured.
@@ -1025,7 +740,8 @@ impl ResilienceRt {
     }
 }
 
-/// Multi-path runtime state (see [`serve_multipath`]): the admission
+/// Multi-path runtime state (see
+/// [`Scenario::multipath`](crate::Scenario::multipath)): the admission
 /// seam plus per-path accounting. Boxed behind an `Option` at the
 /// simulator's cold tail — single-pipeline runs never touch it.
 struct MultipathRt<'a> {
@@ -1161,16 +877,9 @@ impl ShardOutcome {
 }
 
 impl<'a> Sim<'a> {
-    fn new(
-        spec: &'a PipelineSpec,
-        arrivals: &'a dyn ArrivalProcess,
-        policy: &'a dyn SchedulingPolicy,
-        router: &'a dyn Router,
-        num_queries: usize,
-        seed: u64,
-    ) -> Self {
-        let mut sim = Self::new_inner(spec, arrivals, policy, router, num_queries, seed, false);
-        sim.stage_schedule(seed);
+    pub(crate) fn new(w: &Workload<'a>) -> Self {
+        let mut sim = Self::new_inner(w, false);
+        sim.stage_schedule(w.seed);
         sim
     }
 
@@ -1181,34 +890,21 @@ impl<'a> Sim<'a> {
     /// stage groups, so a same-group affinity prior can never exist),
     /// completion-time recording, and — for the head shard only — the
     /// arrival schedule.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new_shard(
-        spec: &'a PipelineSpec,
-        arrivals: &'a dyn ArrivalProcess,
-        policy: &'a dyn SchedulingPolicy,
-        router: &'a dyn Router,
-        num_queries: usize,
-        seed: u64,
+        w: &Workload<'a>,
         stage: usize,
         out: Option<&'a mut dyn ShardSink>,
     ) -> Self {
-        let mut sim = Self::new_inner(spec, arrivals, policy, router, num_queries, seed, true);
+        let mut sim = Self::new_inner(w, true);
         sim.shard_out = out;
         if stage == 0 {
-            sim.stage_schedule(seed);
+            sim.stage_schedule(w.seed);
         }
         sim
     }
 
-    fn new_inner(
-        spec: &'a PipelineSpec,
-        arrivals: &'a dyn ArrivalProcess,
-        policy: &'a dyn SchedulingPolicy,
-        router: &'a dyn Router,
-        num_queries: usize,
-        seed: u64,
-        shard: bool,
-    ) -> Self {
+    fn new_inner(w: &Workload<'a>, shard: bool) -> Self {
+        let (spec, num_queries) = (w.spec, w.num_queries);
         // Packed heap events store query indices in 32 bits.
         assert!(
             num_queries <= u32::MAX as usize,
@@ -1243,10 +939,10 @@ impl<'a> Sim<'a> {
         // builtin but Sticky) skip the per-query choice table. Stage
         // shards force history off — their eligibility (pairwise
         // distinct stage groups) means no same-group prior can exist.
-        let track_est = router.uses_estimates();
-        let track_hist = !shard && router.uses_history() && num_stages > 1;
+        let track_est = w.router.uses_estimates();
+        let track_hist = !shard && w.router.uses_history() && num_stages > 1;
         // Shards keep the serial recording mode so even the raw sample
-        // *order* inside the unfolded collector matches `serve_routed`:
+        // *order* inside the unfolded collector matches the serial loop:
         // below the scale threshold the tail shard replays its
         // query-indexed finish vector, above it both loops stream into
         // the order-independent folded sinks.
@@ -1255,9 +951,9 @@ impl<'a> Sim<'a> {
         let sim = Self {
             spec,
             stages: spec.stages(),
-            policy,
-            arrivals,
-            router,
+            policy: w.policy,
+            arrivals: w.arrivals,
+            router: w.router,
             num_queries,
             heap: BinaryHeap::new(),
             seq: 0,
@@ -1298,7 +994,7 @@ impl<'a> Sim<'a> {
             timer_gen: vec![0; num_slots],
             busy_unit_seconds: vec![0.0; num_slots],
             router_states: (0..resources.len() as u64)
-                .map(|g| RouterState::new(seed ^ g.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
+                .map(|g| RouterState::new(w.seed ^ g.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
                 .collect(),
             batches: Vec::new(),
             free_batches: Vec::new(),
@@ -1314,7 +1010,7 @@ impl<'a> Sim<'a> {
             served: 0,
             next_inject: 0,
             think_time_s: None,
-            work_conserving: policy.admit_on_arrival(),
+            work_conserving: w.policy.admit_on_arrival(),
             schedule_len: 0,
             lazy_arrivals: false,
             lifecycle_active: false,
@@ -1452,7 +1148,7 @@ impl<'a> Sim<'a> {
     /// processed before the lifecycle event that would have masked its
     /// replica, and two same-time lifecycle events fire in schedule
     /// order.
-    fn enable_lifecycle(&mut self, cfg: &LifecycleConfig) {
+    pub(crate) fn enable_lifecycle(&mut self, cfg: &LifecycleConfig) {
         self.failure_policy = cfg.failure_policy;
         self.warmup_speed = cfg.warmup_speed;
         let resources = self.spec.resources();
@@ -1483,8 +1179,12 @@ impl<'a> Sim<'a> {
 
     /// Arms closed-loop autoscaling: replicas `initial_replicas..` of
     /// the scaled group start down, and every closing telemetry window
-    /// consults `controller` (see [`PipelineSpec::serve_autoscaled`]).
-    fn enable_autoscale(&mut self, cfg: &AutoscaleConfig, controller: &'a mut dyn FleetController) {
+    /// consults `controller` (see [`Scenario::autoscale`](crate::Scenario::autoscale)).
+    pub(crate) fn enable_autoscale(
+        &mut self,
+        cfg: &AutoscaleConfig,
+        controller: &'a mut dyn FleetController,
+    ) {
         self.scale = Some(ScaleRt {
             group: cfg.group,
             min: cfg.min_replicas,
@@ -1512,7 +1212,12 @@ impl<'a> Sim<'a> {
     /// event stream is identical to the plain routed loop.
     ///
     /// [`AlwaysPrimary`]: crate::AlwaysPrimary
-    fn enable_multipath(&mut self, paths: &PathSet, admission: &'a dyn AdmissionPolicy, seed: u64) {
+    pub(crate) fn enable_multipath(
+        &mut self,
+        paths: &PathSet,
+        admission: &'a dyn AdmissionPolicy,
+        seed: u64,
+    ) {
         debug_assert_eq!(paths.spec().stages().len(), self.stages.len());
         let n = paths.num_paths();
         let profiles = paths.profiles();
@@ -1550,17 +1255,7 @@ impl<'a> Sim<'a> {
     /// `resil_active` false, so the event stream — and therefore the
     /// whole run — is bit-identical to the plain routed loop (pinned by
     /// proptest).
-    fn enable_resilience(&mut self, cfg: &ResilienceConfig, seed: u64) {
-        assert!(
-            self.stages.len() <= RES_STAGE_MASK as usize,
-            "resilient runs support at most {} stages",
-            RES_STAGE_MASK
-        );
-        assert!(
-            cfg.retry.max_attempts <= u8::MAX as usize,
-            "at most {} attempts per query",
-            u8::MAX
-        );
+    pub(crate) fn enable_resilience(&mut self, cfg: &ResilienceConfig, seed: u64) {
         let active = !cfg.is_inert();
         let n = if active { self.num_queries } else { 0 };
         let (has_budget, bucket_cap, refill) = match cfg.retry.budget {
@@ -1615,10 +1310,10 @@ impl<'a> Sim<'a> {
             let gen = (packed >> 32) as u32 & RES_GEN_MASK;
             // simlint: allow(packing-cast) -- a single bit survives the >> 63
             let lane = (packed >> 63) as u32;
-            // simlint: allow(packing-cast) -- stage < 2^12 (pipeline depth, asserted at build)
+            // simlint: allow(packing-cast) -- stage < 2^12 (pipeline depth, checked by Scenario::run)
             stage as u32 | (gen << RES_STAGE_BITS) | (lane << 31)
         } else {
-            // simlint: allow(packing-cast) -- stage < 2^12 (pipeline depth, asserted at build)
+            // simlint: allow(packing-cast) -- stage < 2^12 (pipeline depth, checked by Scenario::run)
             stage as u32
         };
         self.heap
@@ -2856,7 +2551,7 @@ impl<'a> Sim<'a> {
             .push(Event::arrive(self.arrival_time[next], next as u64, next, 0));
     }
 
-    fn run(mut self) -> Result<SimResult, SimError> {
+    pub(crate) fn run(mut self) -> Result<SimResult, SimError> {
         while let Some(event) = self.heap.pop() {
             let now = event.time;
             if self.telemetry_active {
@@ -3239,8 +2934,10 @@ impl<'a> Sim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BatchModel, BatchWindow, EarliestDeadlineFirst, ReplicaGroup};
-    use recpipe_data::{ClosedLoopArrivals, DiurnalArrivals, MmppArrivals};
+    use crate::{
+        BatchModel, BatchWindow, EarliestDeadlineFirst, Fifo, ReplicaGroup, RoundRobin, Scenario,
+    };
+    use recpipe_data::{ClosedLoopArrivals, DiurnalArrivals, MmppArrivals, PoissonArrivals};
 
     fn single_stage(servers: usize, service: f64) -> PipelineSpec {
         PipelineSpec::new(vec![ReplicaGroup::new("r", servers)])
@@ -3416,7 +3113,9 @@ mod tests {
         for spec in &specs {
             for (qps, seed) in [(120.0, 3u64), (900.0, 17)] {
                 let legacy = spec.simulate(qps, 2_000, seed);
-                let v2 = spec.serve(&PoissonArrivals::new(qps), &Fifo, 2_000, seed);
+                let v2 = Scenario::new(spec, &PoissonArrivals::new(qps), 2_000, seed)
+                    .run()
+                    .unwrap();
                 assert_eq!(legacy, v2);
             }
         }
@@ -3439,8 +3138,10 @@ mod tests {
         assert!(batched.max_qps_at_full_batch() > 4.0 * per_query.max_qps());
 
         let arrivals = PoissonArrivals::new(300.0);
-        let slow = per_query.serve(&arrivals, &Fifo, 6_000, 21);
-        let fast = batched.serve(&arrivals, &Fifo, 6_000, 21);
+        let slow = Scenario::new(&per_query, &arrivals, 6_000, 21)
+            .run()
+            .unwrap();
+        let fast = Scenario::new(&batched, &arrivals, 6_000, 21).run().unwrap();
         assert!(slow.saturated);
         assert!(!fast.saturated, "batched run saturated");
         assert!(
@@ -3457,12 +3158,10 @@ mod tests {
         // A lone query waits out the window before launching.
         let spec = batched_stage(2, 0.002, 8, 0.1);
         let window = 0.004;
-        let mut out = spec.serve(
-            &PoissonArrivals::new(5.0),
-            &BatchWindow::new(window),
-            400,
-            2,
-        );
+        let mut out = Scenario::new(&spec, &PoissonArrivals::new(5.0), 400, 2)
+            .policy(&BatchWindow::new(window))
+            .run()
+            .unwrap();
         let p50 = out.latency.p50().as_secs_f64();
         assert!(
             (p50 - (window + 0.002)).abs() < 1e-3,
@@ -3475,8 +3174,11 @@ mod tests {
     fn batch_window_forms_larger_batches_than_greedy_fifo() {
         let spec = batched_stage(1, 0.004, 8, 0.2);
         let arrivals = PoissonArrivals::new(400.0);
-        let fifo = spec.serve(&arrivals, &Fifo, 4_000, 5);
-        let windowed = spec.serve(&arrivals, &BatchWindow::new(0.01), 4_000, 5);
+        let fifo = Scenario::new(&spec, &arrivals, 4_000, 5).run().unwrap();
+        let windowed = Scenario::new(&spec, &arrivals, 4_000, 5)
+            .policy(&BatchWindow::new(0.01))
+            .run()
+            .unwrap();
         assert!(
             windowed.mean_batch > fifo.mean_batch,
             "windowed {} vs fifo {}",
@@ -3491,8 +3193,14 @@ mod tests {
         // tight one launches almost immediately.
         let spec = batched_stage(1, 0.004, 8, 0.2);
         let arrivals = PoissonArrivals::new(300.0);
-        let tight = spec.serve(&arrivals, &EarliestDeadlineFirst::new(0.002), 3_000, 5);
-        let loose = spec.serve(&arrivals, &EarliestDeadlineFirst::new(0.2), 3_000, 5);
+        let tight = Scenario::new(&spec, &arrivals, 3_000, 5)
+            .policy(&EarliestDeadlineFirst::new(0.002))
+            .run()
+            .unwrap();
+        let loose = Scenario::new(&spec, &arrivals, 3_000, 5)
+            .policy(&EarliestDeadlineFirst::new(0.2))
+            .run()
+            .unwrap();
         assert!(
             loose.mean_batch > tight.mean_batch + 0.2,
             "loose {} vs tight {}",
@@ -3507,13 +3215,13 @@ mod tests {
         // slack window never engages (max_batch = 1): EDF degenerates
         // to FIFO exactly.
         let spec = single_stage(2, 0.006);
-        let a = spec.serve(&PoissonArrivals::new(250.0), &Fifo, 2_000, 8);
-        let b = spec.serve(
-            &PoissonArrivals::new(250.0),
-            &EarliestDeadlineFirst::new(0.05),
-            2_000,
-            8,
-        );
+        let a = Scenario::new(&spec, &PoissonArrivals::new(250.0), 2_000, 8)
+            .run()
+            .unwrap();
+        let b = Scenario::new(&spec, &PoissonArrivals::new(250.0), 2_000, 8)
+            .policy(&EarliestDeadlineFirst::new(0.05))
+            .run()
+            .unwrap();
         assert_eq!(a, b);
     }
 
@@ -3529,8 +3237,11 @@ mod tests {
             .with_stage(StageSpec::new("b", 0, 1, 0.003))
             .unwrap();
         let arrivals = MmppArrivals::new(200.0, 1_200.0, 0.3, 0.1);
-        let mut fifo = spec.serve(&arrivals, &Fifo, 12_000, 3);
-        let mut edf = spec.serve(&arrivals, &EarliestDeadlineFirst::new(0.02), 12_000, 3);
+        let mut fifo = Scenario::new(&spec, &arrivals, 12_000, 3).run().unwrap();
+        let mut edf = Scenario::new(&spec, &arrivals, 12_000, 3)
+            .policy(&EarliestDeadlineFirst::new(0.02))
+            .run()
+            .unwrap();
         assert_eq!(edf.completed, 12_000);
         assert!(
             edf.latency.p99() <= fifo.latency.p99(),
@@ -3547,8 +3258,8 @@ mod tests {
         let poisson = PoissonArrivals::new(500.0);
         let bursty = MmppArrivals::new(125.0, 1_625.0, 0.3, 0.1);
         assert!((bursty.mean_rate() - 500.0).abs() < 1.0);
-        let mut smooth = spec.serve(&poisson, &Fifo, 20_000, 6);
-        let mut spiky = spec.serve(&bursty, &Fifo, 20_000, 6);
+        let mut smooth = Scenario::new(&spec, &poisson, 20_000, 6).run().unwrap();
+        let mut spiky = Scenario::new(&spec, &bursty, 20_000, 6).run().unwrap();
         assert!(
             spiky.latency.p99() > smooth.latency.p99(),
             "bursty p99 {:?} vs poisson p99 {:?}",
@@ -3561,7 +3272,7 @@ mod tests {
     fn diurnal_arrivals_complete_and_stay_stable_under_capacity() {
         let spec = single_stage(8, 0.004); // capacity 2000 QPS
         let diurnal = DiurnalArrivals::new(100.0, 1_500.0, 4.0);
-        let out = spec.serve(&diurnal, &Fifo, 10_000, 9);
+        let out = Scenario::new(&spec, &diurnal, 10_000, 9).run().unwrap();
         assert_eq!(out.completed, 10_000);
         assert!(!out.saturated);
     }
@@ -3573,7 +3284,7 @@ mod tests {
         // work at the population size.
         let spec = single_stage(1, 0.01);
         let closed = ClosedLoopArrivals::new(8, 0.01); // nominal 800 QPS
-        let mut out = spec.serve(&closed, &Fifo, 3_000, 4);
+        let mut out = Scenario::new(&spec, &closed, 3_000, 4).run().unwrap();
         assert_eq!(out.completed, 3_000);
         // Worst case a query waits behind the 7 other in-flight queries.
         assert!(
@@ -3589,7 +3300,7 @@ mod tests {
         // N clients, service s, think z: X = N / (R + z), R >= s.
         let spec = single_stage(4, 0.01);
         let closed = ClosedLoopArrivals::new(4, 0.03);
-        let out = spec.serve(&closed, &Fifo, 5_000, 7);
+        let out = Scenario::new(&spec, &closed, 5_000, 7).run().unwrap();
         let expected = 4.0 / (0.01 + 0.03);
         assert!(
             (out.qps - expected).abs() / expected < 0.05,
@@ -3603,8 +3314,14 @@ mod tests {
         let spec = batched_stage(2, 0.005, 4, 0.3);
         let arrivals = MmppArrivals::new(100.0, 900.0, 0.2, 0.1);
         let policy = BatchWindow::new(0.003);
-        let a = spec.serve(&arrivals, &policy, 3_000, 11);
-        let b = spec.serve(&arrivals, &policy, 3_000, 11);
+        let a = Scenario::new(&spec, &arrivals, 3_000, 11)
+            .policy(&policy)
+            .run()
+            .unwrap();
+        let b = Scenario::new(&spec, &arrivals, 3_000, 11)
+            .policy(&policy)
+            .run()
+            .unwrap();
         assert_eq!(a, b);
     }
 
@@ -3612,7 +3329,7 @@ mod tests {
     // qsim v3: replica groups and routers
     // ------------------------------------------------------------------
 
-    use crate::{JoinShortestQueue, PowerOfTwoChoices, RoundRobin, Router};
+    use crate::{JoinShortestQueue, PowerOfTwoChoices, Router};
 
     /// Mixed job sizes on one replicated fleet — the scenario where
     /// load-aware routing matters: a replica grinding a long backend
@@ -3649,10 +3366,13 @@ mod tests {
         .with_stage(StageSpec::new("back", 1, 2, 0.006))
         .unwrap();
         let arrivals = MmppArrivals::new(100.0, 900.0, 0.3, 0.1);
-        let baseline = spec.serve(&arrivals, &Fifo, 2_000, 13);
+        let baseline = Scenario::new(&spec, &arrivals, 2_000, 13).run().unwrap();
         let routers: [&dyn Router; 3] = [&RoundRobin, &JoinShortestQueue, &PowerOfTwoChoices];
         for router in routers {
-            let routed = spec.serve_routed(&arrivals, &Fifo, router, 2_000, 13);
+            let routed = Scenario::new(&spec, &arrivals, 2_000, 13)
+                .router(router)
+                .run()
+                .unwrap();
             assert_eq!(baseline, routed, "router {}", router.name());
         }
         assert!(baseline.replica_utilization.is_empty());
@@ -3667,9 +3387,15 @@ mod tests {
         let spec = mixed_fleet(4);
         let qps = 0.9 * spec.max_qps();
         let arrivals = PoissonArrivals::new(qps);
-        let mut rr = spec.serve_routed(&arrivals, &Fifo, &RoundRobin, 15_000, 7);
-        let mut jsq = spec.serve_routed(&arrivals, &Fifo, &JoinShortestQueue, 15_000, 7);
-        let mut po2 = spec.serve_routed(&arrivals, &Fifo, &PowerOfTwoChoices, 15_000, 7);
+        let mut rr = Scenario::new(&spec, &arrivals, 15_000, 7).run().unwrap();
+        let mut jsq = Scenario::new(&spec, &arrivals, 15_000, 7)
+            .router(&JoinShortestQueue)
+            .run()
+            .unwrap();
+        let mut po2 = Scenario::new(&spec, &arrivals, 15_000, 7)
+            .router(&PowerOfTwoChoices)
+            .run()
+            .unwrap();
         assert_eq!(rr.completed, 15_000);
         assert!(
             jsq.p99_seconds() < rr.p99_seconds() * 0.8,
@@ -3688,13 +3414,9 @@ mod tests {
     #[test]
     fn replicated_runs_report_per_replica_utilization() {
         let spec = mixed_fleet(4);
-        let out = spec.serve_routed(
-            &PoissonArrivals::new(0.5 * spec.max_qps()),
-            &Fifo,
-            &RoundRobin,
-            4_000,
-            3,
-        );
+        let out = Scenario::new(&spec, &PoissonArrivals::new(0.5 * spec.max_qps()), 4_000, 3)
+            .run()
+            .unwrap();
         assert_eq!(out.replica_utilization.len(), 1);
         assert_eq!(out.replica_utilization[0].len(), 4);
         // The group aggregate is the mean of its replicas (equal
@@ -3707,13 +3429,14 @@ mod tests {
         let uniform = PipelineSpec::new(vec![ReplicaGroup::replicated("worker", 1, 4)])
             .with_stage(StageSpec::new("rank", 0, 1, 0.004))
             .unwrap();
-        let balanced = uniform.serve_routed(
+        let balanced = Scenario::new(
+            &uniform,
             &PoissonArrivals::new(0.5 * uniform.max_qps()),
-            &Fifo,
-            &RoundRobin,
             4_000,
             3,
-        );
+        )
+        .run()
+        .unwrap();
         assert!(
             balanced.replica_imbalance() < 0.05,
             "imbalance {}",
@@ -3726,10 +3449,13 @@ mod tests {
         let spec = mixed_fleet(1);
         let qps = 2.0 * spec.max_qps();
         let arrivals = PoissonArrivals::new(qps);
-        let alone = spec.serve(&arrivals, &Fifo, 4_000, 9);
+        let alone = Scenario::new(&spec, &arrivals, 4_000, 9).run().unwrap();
         assert!(alone.saturated);
         let fleet = mixed_fleet(4);
-        let scaled = fleet.serve_routed(&arrivals, &Fifo, &JoinShortestQueue, 4_000, 9);
+        let scaled = Scenario::new(&fleet, &arrivals, 4_000, 9)
+            .router(&JoinShortestQueue)
+            .run()
+            .unwrap();
         assert!(!scaled.saturated);
         assert!(scaled.qps > alone.qps);
     }
@@ -3740,8 +3466,16 @@ mod tests {
         let arrivals = MmppArrivals::new(80.0, 600.0, 0.3, 0.1);
         let routers: [&dyn Router; 3] = [&RoundRobin, &JoinShortestQueue, &PowerOfTwoChoices];
         for router in routers {
-            let a = spec.serve_routed(&arrivals, &BatchWindow::new(0.002), router, 2_000, 5);
-            let b = spec.serve_routed(&arrivals, &BatchWindow::new(0.002), router, 2_000, 5);
+            let a = Scenario::new(&spec, &arrivals, 2_000, 5)
+                .policy(&BatchWindow::new(0.002))
+                .router(router)
+                .run()
+                .unwrap();
+            let b = Scenario::new(&spec, &arrivals, 2_000, 5)
+                .policy(&BatchWindow::new(0.002))
+                .router(router)
+                .run()
+                .unwrap();
             assert_eq!(a, b, "router {}", router.name());
         }
     }
@@ -3754,13 +3488,11 @@ mod tests {
             .with_stage(StageSpec::new("rank", 0, 1, 0.004).with_batch(BatchModel::new(8, 0.2)))
             .unwrap();
         let arrivals = PoissonArrivals::new(600.0);
-        let out = spec.serve_routed(
-            &arrivals,
-            &BatchWindow::new(0.004),
-            &JoinShortestQueue,
-            6_000,
-            2,
-        );
+        let out = Scenario::new(&spec, &arrivals, 6_000, 2)
+            .policy(&BatchWindow::new(0.004))
+            .router(&JoinShortestQueue)
+            .run()
+            .unwrap();
         assert_eq!(out.completed, 6_000);
         assert!(out.mean_batch > 1.5, "mean batch {}", out.mean_batch);
         assert!(out.mean_batch <= 8.0 + 1e-12);
@@ -3805,13 +3537,10 @@ mod tests {
         )])
         .with_stage(StageSpec::new("rank", 0, 1, 0.004))
         .unwrap();
-        let mut out = slow.serve_routed(
-            &PoissonArrivals::new(1.0),
-            &Fifo,
-            &JoinShortestQueue,
-            500,
-            2,
-        );
+        let mut out = Scenario::new(&slow, &PoissonArrivals::new(1.0), 500, 2)
+            .router(&JoinShortestQueue)
+            .run()
+            .unwrap();
         let p50 = out.latency.p50().as_secs_f64();
         assert!((p50 - 0.008).abs() < 1e-6, "p50 {p50}");
     }
@@ -3825,9 +3554,18 @@ mod tests {
         // around the slow generation's long drains and wins the tail.
         let spec = two_generation_fleet(2, 2, 0.4);
         let arrivals = PoissonArrivals::new(0.9 * spec.max_qps());
-        let mut jsq = spec.serve_routed(&arrivals, &Fifo, &JoinShortestQueue, 20_000, 7);
-        let mut lwl = spec.serve_routed(&arrivals, &Fifo, &LeastWorkLeft, 20_000, 7);
-        let mut ew = spec.serve_routed(&arrivals, &Fifo, &ExpectedWait, 20_000, 7);
+        let mut jsq = Scenario::new(&spec, &arrivals, 20_000, 7)
+            .router(&JoinShortestQueue)
+            .run()
+            .unwrap();
+        let mut lwl = Scenario::new(&spec, &arrivals, 20_000, 7)
+            .router(&LeastWorkLeft)
+            .run()
+            .unwrap();
+        let mut ew = Scenario::new(&spec, &arrivals, 20_000, 7)
+            .router(&ExpectedWait)
+            .run()
+            .unwrap();
         assert_eq!(ew.completed, 20_000);
         assert!(
             ew.p99_seconds() < jsq.p99_seconds() * 0.9,
@@ -3850,8 +3588,14 @@ mod tests {
         // tails land within a modest band of each other.
         let spec = mixed_fleet(4);
         let arrivals = PoissonArrivals::new(0.9 * spec.max_qps());
-        let mut jsq = spec.serve_routed(&arrivals, &Fifo, &JoinShortestQueue, 15_000, 7);
-        let mut ew = spec.serve_routed(&arrivals, &Fifo, &ExpectedWait, 15_000, 7);
+        let mut jsq = Scenario::new(&spec, &arrivals, 15_000, 7)
+            .router(&JoinShortestQueue)
+            .run()
+            .unwrap();
+        let mut ew = Scenario::new(&spec, &arrivals, 15_000, 7)
+            .router(&ExpectedWait)
+            .run()
+            .unwrap();
         let ratio = ew.p99_seconds() / jsq.p99_seconds();
         assert!(
             (0.7..1.3).contains(&ratio),
@@ -3880,8 +3624,16 @@ mod tests {
             .flat_map(|b| std::iter::repeat_n(b as f64 * 0.040, 8))
             .collect();
         let burst = TraceArrivals::new(times);
-        let sticky = spec.serve_routed(&burst, &window, &Sticky::new(), 800, 7);
-        let jsq = spec.serve_routed(&burst, &window, &JoinShortestQueue, 800, 7);
+        let sticky = Scenario::new(&spec, &burst, 800, 7)
+            .policy(&window)
+            .router(&Sticky::new())
+            .run()
+            .unwrap();
+        let jsq = Scenario::new(&spec, &burst, 800, 7)
+            .policy(&window)
+            .router(&JoinShortestQueue)
+            .run()
+            .unwrap();
         assert_eq!(sticky.completed, 800);
         assert!(
             sticky.mean_batch > jsq.mean_batch + 0.3,
@@ -3897,8 +3649,16 @@ mod tests {
         let arrivals = MmppArrivals::new(60.0, 400.0, 0.3, 0.1);
         let routers: [&dyn Router; 3] = [&ExpectedWait, &Sticky::new(), &JoinShortestQueue];
         for router in routers {
-            let a = spec.serve_routed(&arrivals, &BatchWindow::new(0.002), router, 2_000, 5);
-            let b = spec.serve_routed(&arrivals, &BatchWindow::new(0.002), router, 2_000, 5);
+            let a = Scenario::new(&spec, &arrivals, 2_000, 5)
+                .policy(&BatchWindow::new(0.002))
+                .router(router)
+                .run()
+                .unwrap();
+            let b = Scenario::new(&spec, &arrivals, 2_000, 5)
+                .policy(&BatchWindow::new(0.002))
+                .router(router)
+                .run()
+                .unwrap();
             assert_eq!(a, b, "router {}", router.name());
         }
     }
@@ -3913,13 +3673,10 @@ mod tests {
         )])
         .with_stage(StageSpec::new("rank", 0, 1, 0.004))
         .unwrap();
-        let out = spec.serve_routed(
-            &PoissonArrivals::new(0.6 * spec.max_qps()),
-            &Fifo,
-            &ExpectedWait,
-            5_000,
-            3,
-        );
+        let out = Scenario::new(&spec, &PoissonArrivals::new(0.6 * spec.max_qps()), 5_000, 3)
+            .router(&ExpectedWait)
+            .run()
+            .unwrap();
         assert_eq!(out.completed, 5_000);
         assert_eq!(out.replica_utilization[0].len(), 2);
         for u in &out.replica_utilization[0] {
@@ -3940,10 +3697,13 @@ mod tests {
         .with_stage(StageSpec::new("back", 1, 2, 0.006))
         .unwrap();
         let arrivals = MmppArrivals::new(100.0, 900.0, 0.3, 0.1);
-        let baseline = spec.serve(&arrivals, &Fifo, 2_000, 13);
+        let baseline = Scenario::new(&spec, &arrivals, 2_000, 13).run().unwrap();
         let routers: [&dyn Router; 2] = [&ExpectedWait, &Sticky::new()];
         for router in routers {
-            let routed = spec.serve_routed(&arrivals, &Fifo, router, 2_000, 13);
+            let routed = Scenario::new(&spec, &arrivals, 2_000, 13)
+                .router(router)
+                .run()
+                .unwrap();
             assert_eq!(baseline, routed, "router {}", router.name());
         }
     }
@@ -3960,13 +3720,14 @@ mod tests {
         // less than a loose-slack EDF.
         let spec = batched_stage(1, 0.004, 8, 0.2);
         let arrivals = PoissonArrivals::new(300.0);
-        let eager = spec.serve(
-            &arrivals,
-            &EarliestDeadlineFirst::new(0.2).with_batch_slack(0.0),
-            3_000,
-            5,
-        );
-        let loose = spec.serve(&arrivals, &EarliestDeadlineFirst::new(0.2), 3_000, 5);
+        let eager = Scenario::new(&spec, &arrivals, 3_000, 5)
+            .policy(&EarliestDeadlineFirst::new(0.2).with_batch_slack(0.0))
+            .run()
+            .unwrap();
+        let loose = Scenario::new(&spec, &arrivals, 3_000, 5)
+            .policy(&EarliestDeadlineFirst::new(0.2))
+            .run()
+            .unwrap();
         assert_eq!(eager.completed, 3_000);
         assert!(
             loose.mean_batch > eager.mean_batch + 0.2,
@@ -3989,8 +3750,11 @@ mod tests {
             .with_stage(StageSpec::new("b", 0, 1, 0.005))
             .unwrap();
         let burst = TraceArrivals::new(vec![0.0; 64]);
-        let fifo = spec.serve(&burst, &Fifo, 64, 1);
-        let edf = spec.serve(&burst, &EarliestDeadlineFirst::new(0.05), 64, 1);
+        let fifo = Scenario::new(&spec, &burst, 64, 1).run().unwrap();
+        let edf = Scenario::new(&spec, &burst, 64, 1)
+            .policy(&EarliestDeadlineFirst::new(0.05))
+            .run()
+            .unwrap();
         assert_eq!(fifo.completed, 64);
         assert_eq!(fifo.latency, edf.latency);
         assert_eq!(fifo.qps, edf.qps);
@@ -4003,8 +3767,14 @@ mod tests {
         // issues new work when old work finishes.
         let spec = batched_stage(2, 0.004, 4, 0.3);
         let closed = ClosedLoopArrivals::new(12, 0.01);
-        let tight = spec.serve(&closed, &EarliestDeadlineFirst::new(0.005), 2_000, 4);
-        let loose = spec.serve(&closed, &EarliestDeadlineFirst::new(0.5), 2_000, 4);
+        let tight = Scenario::new(&spec, &closed, 2_000, 4)
+            .policy(&EarliestDeadlineFirst::new(0.005))
+            .run()
+            .unwrap();
+        let loose = Scenario::new(&spec, &closed, 2_000, 4)
+            .policy(&EarliestDeadlineFirst::new(0.5))
+            .run()
+            .unwrap();
         assert_eq!(tight.completed, 2_000);
         assert_eq!(loose.completed, 2_000);
         assert!(!tight.saturated && !loose.saturated);
@@ -4017,7 +3787,10 @@ mod tests {
             tight.mean_batch
         );
         // A run is reproducible under the completion-driven injection.
-        let again = spec.serve(&closed, &EarliestDeadlineFirst::new(0.5), 2_000, 4);
+        let again = Scenario::new(&spec, &closed, 2_000, 4)
+            .policy(&EarliestDeadlineFirst::new(0.5))
+            .run()
+            .unwrap();
         assert_eq!(loose, again);
     }
 
@@ -4042,9 +3815,14 @@ mod tests {
         let arrivals = MmppArrivals::new(200.0, 900.0, 0.3, 0.1);
         let routers: [&dyn Router; 3] = [&RoundRobin, &JoinShortestQueue, &Sticky::new()];
         for router in routers {
-            let plain = spec.serve_routed(&arrivals, &Fifo, router, 3_000, 11);
-            let lifecycle = spec
-                .serve_lifecycle(&arrivals, &Fifo, router, 3_000, 11, &LifecycleConfig::new())
+            let plain = Scenario::new(&spec, &arrivals, 3_000, 11)
+                .router(router)
+                .run()
+                .unwrap();
+            let lifecycle = Scenario::new(&spec, &arrivals, 3_000, 11)
+                .router(router)
+                .lifecycle(&LifecycleConfig::new())
+                .run()
                 .unwrap();
             assert_eq!(plain, lifecycle, "router {}", router.name());
         }
@@ -4059,21 +3837,16 @@ mod tests {
             0,
             LifecycleSchedule::empty().with_event(LifecycleEvent::fail_stop(0.5, 0)),
         );
-        let err = spec
-            .serve_lifecycle(
-                &PoissonArrivals::new(100.0),
-                &Fifo,
-                &RoundRobin,
-                1_000,
-                3,
-                &LifecycleConfig::new(),
-            )
+        let err = Scenario::new(&spec, &PoissonArrivals::new(100.0), 1_000, 3)
+            .lifecycle(&LifecycleConfig::new())
+            .run()
             .unwrap_err();
         match err {
             SimError::NoAvailableReplica { group, time } => {
                 assert_eq!(group, 0);
                 assert!(time >= 0.5);
             }
+            other => panic!("unexpected error {other:?}"),
         }
     }
 
@@ -4086,15 +3859,9 @@ mod tests {
             0,
             LifecycleSchedule::empty().with_event(LifecycleEvent::fail_stop(0.5, 0)),
         );
-        let out = spec
-            .serve_lifecycle(
-                &PoissonArrivals::new(100.0),
-                &Fifo,
-                &RoundRobin,
-                1_000,
-                3,
-                &LifecycleConfig::new().with_failure_policy(FailurePolicy::Shed),
-            )
+        let out = Scenario::new(&spec, &PoissonArrivals::new(100.0), 1_000, 3)
+            .lifecycle(&LifecycleConfig::new().with_failure_policy(FailurePolicy::Shed))
+            .run()
             .unwrap();
         assert!(out.completed > 0, "nothing completed before the failure");
         assert!(out.shed > 0, "post-failure arrivals were not shed");
@@ -4109,15 +3876,9 @@ mod tests {
             .with_event(LifecycleEvent::fail_stop(0.5, 0))
             .with_event(LifecycleEvent::recover(1.0, 0));
         let spec = single_stage(2, 0.01).with_group_lifecycle(0, schedule);
-        let out = spec
-            .serve_lifecycle(
-                &PoissonArrivals::new(150.0),
-                &Fifo,
-                &RoundRobin,
-                2_000,
-                7,
-                &LifecycleConfig::new(),
-            )
+        let out = Scenario::new(&spec, &PoissonArrivals::new(150.0), 2_000, 7)
+            .lifecycle(&LifecycleConfig::new())
+            .run()
             .unwrap();
         assert_eq!(out.completed, 2_000);
         assert_eq!(out.shed, 0);
@@ -4133,15 +3894,9 @@ mod tests {
             .with_event(LifecycleEvent::fail_stop(0.2, 0))
             .with_event(LifecycleEvent::recover(0.6, 0));
         let spec = single_stage(4, 0.002).with_group_lifecycle(0, schedule);
-        let mut out = spec
-            .serve_lifecycle(
-                &PoissonArrivals::new(200.0),
-                &Fifo,
-                &RoundRobin,
-                400,
-                5,
-                &LifecycleConfig::new(),
-            )
+        let mut out = Scenario::new(&spec, &PoissonArrivals::new(200.0), 400, 5)
+            .lifecycle(&LifecycleConfig::new())
+            .run()
             .unwrap();
         assert_eq!(out.completed, 400);
         // Some query sat out most of the 0.4 s hole.
@@ -4161,15 +3916,10 @@ mod tests {
             0,
             LifecycleSchedule::empty().with_event(LifecycleEvent::drain(0.0, 1)),
         );
-        let out = spec
-            .serve_lifecycle(
-                &PoissonArrivals::new(300.0),
-                &Fifo,
-                &JoinShortestQueue,
-                2_000,
-                9,
-                &LifecycleConfig::new(),
-            )
+        let out = Scenario::new(&spec, &PoissonArrivals::new(300.0), 2_000, 9)
+            .router(&JoinShortestQueue)
+            .lifecycle(&LifecycleConfig::new())
+            .run()
             .unwrap();
         assert_eq!(out.completed, 2_000);
         assert_eq!(out.replica_utilization[0][1], 0.0);
@@ -4185,15 +3935,9 @@ mod tests {
             .with_event(LifecycleEvent::fail_stop(0.0, 0))
             .with_event(LifecycleEvent::provision(0.001, 0, 100.0));
         let spec = single_stage(4, 0.01).with_group_lifecycle(0, schedule);
-        let mut out = spec
-            .serve_lifecycle(
-                &PoissonArrivals::new(5.0),
-                &Fifo,
-                &RoundRobin,
-                200,
-                2,
-                &LifecycleConfig::new().with_warmup_speed(0.5),
-            )
+        let mut out = Scenario::new(&spec, &PoissonArrivals::new(5.0), 200, 2)
+            .lifecycle(&LifecycleConfig::new().with_warmup_speed(0.5))
+            .run()
             .unwrap();
         let p50 = out.p50_seconds();
         assert!(
@@ -4209,15 +3953,9 @@ mod tests {
         // edges chain, and the cost integral matches the per-window
         // costs.
         let spec = replicated(2, 0.004);
-        let out = spec
-            .serve_lifecycle(
-                &PoissonArrivals::new(300.0),
-                &Fifo,
-                &RoundRobin,
-                3_000,
-                4,
-                &LifecycleConfig::new().with_window(0.5),
-            )
+        let out = Scenario::new(&spec, &PoissonArrivals::new(300.0), 3_000, 4)
+            .lifecycle(&LifecycleConfig::new().with_window(0.5))
+            .run()
             .unwrap();
         assert_eq!(out.completed, 3_000);
         assert!(!out.windows.is_empty());
@@ -4259,16 +3997,10 @@ mod tests {
         // ramp.
         let spec = replicated(4, 0.004);
         let cfg = AutoscaleConfig::new(0, 1, 4, 0.2).with_initial_replicas(1);
-        let out = spec
-            .serve_autoscaled(
-                &PoissonArrivals::new(500.0),
-                &Fifo,
-                &JoinShortestQueue,
-                4_000,
-                6,
-                &cfg,
-                &mut FixedTarget(4),
-            )
+        let out = Scenario::new(&spec, &PoissonArrivals::new(500.0), 4_000, 6)
+            .router(&JoinShortestQueue)
+            .autoscale(&cfg, &mut FixedTarget(4))
+            .run()
             .unwrap();
         assert_eq!(out.completed, 4_000);
         let first = out.windows.first().expect("windows recorded");
@@ -4284,16 +4016,10 @@ mod tests {
         // completes.
         let spec = replicated(4, 0.004);
         let cfg = AutoscaleConfig::new(0, 1, 4, 0.2).with_initial_replicas(4);
-        let out = spec
-            .serve_autoscaled(
-                &PoissonArrivals::new(200.0),
-                &Fifo,
-                &JoinShortestQueue,
-                3_000,
-                8,
-                &cfg,
-                &mut FixedTarget(1),
-            )
+        let out = Scenario::new(&spec, &PoissonArrivals::new(200.0), 3_000, 8)
+            .router(&JoinShortestQueue)
+            .autoscale(&cfg, &mut FixedTarget(1))
+            .run()
             .unwrap();
         assert_eq!(out.completed, 3_000);
         assert_eq!(out.shed + out.dropped, 0);
@@ -4314,29 +4040,39 @@ mod tests {
         let cfg = AutoscaleConfig::new(0, 1, 2, 0.1)
             .with_initial_replicas(1)
             .with_warmup(0.05);
-        let out = spec
-            .serve_autoscaled(
-                &PoissonArrivals::new(300.0),
-                &Fifo,
-                &RoundRobin,
-                2_000,
-                12,
-                &cfg,
-                &mut FixedTarget(2),
-            )
+        let out = Scenario::new(&spec, &PoissonArrivals::new(300.0), 2_000, 12)
+            .autoscale(&cfg, &mut FixedTarget(2))
+            .run()
             .unwrap();
         assert_eq!(out.completed + out.shed + out.dropped, 2_000);
         assert_eq!(out.dropped, 0);
     }
 
     // ------------------------------------------------------------------
-    // Documented `# Panics` contracts of the PipelineSpec runs
+    // Scenario preconditions: typed errors from `run`, panics from the
+    // adapters that return a bare SimResult
     // ------------------------------------------------------------------
 
+    fn invalid(reason: &str) -> Result<SimResult, SimError> {
+        Err(SimError::InvalidScenario {
+            reason: reason.into(),
+        })
+    }
+
     #[test]
-    #[should_panic(expected = "need at least one query")]
-    fn serve_routed_rejects_zero_queries() {
-        replicated(2, 0.004).serve_routed(&PoissonArrivals::new(100.0), &Fifo, &RoundRobin, 0, 1);
+    fn scenario_rejects_an_empty_pipeline() {
+        let spec = PipelineSpec::new(vec![ReplicaGroup::new("r", 1)]);
+        let run = Scenario::new(&spec, &PoissonArrivals::new(10.0), 10, 0).run();
+        assert_eq!(run, invalid("pipeline has no stages"));
+    }
+
+    #[test]
+    fn scenario_rejects_zero_queries() {
+        let spec = replicated(2, 0.004);
+        let run = Scenario::new(&spec, &PoissonArrivals::new(100.0), 0, 1)
+            .workers(1)
+            .run();
+        assert_eq!(run, invalid("need at least one query"));
     }
 
     #[test]
@@ -4353,53 +4089,42 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "autoscale group 1 does not exist")]
-    fn serve_autoscaled_rejects_an_unknown_group() {
-        let _ = replicated(2, 0.004).serve_autoscaled(
-            &PoissonArrivals::new(100.0),
-            &Fifo,
-            &RoundRobin,
-            100,
-            1,
-            &AutoscaleConfig::new(1, 1, 2, 0.1),
-            &mut FixedTarget(1),
+    fn autoscale_rejects_an_unknown_group() {
+        let spec = replicated(2, 0.004);
+        let cfg = AutoscaleConfig::new(1, 1, 2, 0.1);
+        let run = Scenario::new(&spec, &PoissonArrivals::new(100.0), 100, 1)
+            .autoscale(&cfg, &mut FixedTarget(1))
+            .run();
+        assert_eq!(run, invalid("autoscale group 1 does not exist"));
+    }
+
+    #[test]
+    fn autoscale_rejects_a_ceiling_above_the_fleet() {
+        let spec = replicated(2, 0.004);
+        let cfg = AutoscaleConfig::new(0, 1, 3, 0.1);
+        let run = Scenario::new(&spec, &PoissonArrivals::new(100.0), 100, 1)
+            .autoscale(&cfg, &mut FixedTarget(1))
+            .run();
+        assert_eq!(
+            run,
+            invalid("autoscale ceiling 3 exceeds the group's 2 replicas")
         );
     }
 
     #[test]
-    #[should_panic(expected = "autoscale ceiling 3 exceeds the group's 2 replicas")]
-    fn serve_autoscaled_rejects_a_ceiling_above_the_fleet() {
-        let _ = replicated(2, 0.004).serve_autoscaled(
-            &PoissonArrivals::new(100.0),
-            &Fifo,
-            &RoundRobin,
-            100,
-            1,
-            &AutoscaleConfig::new(0, 1, 3, 0.1),
-            &mut FixedTarget(1),
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 255 attempts per query")]
-    fn serve_resilient_rejects_256_attempts() {
+    fn resilience_rejects_256_attempts() {
+        let spec = replicated(2, 0.004);
         let resilience = ResilienceConfig::new()
             .with_timeout(0.1)
             .with_retry(RetryPolicy::new(256, 0.0, 1.0));
-        let _ = replicated(2, 0.004).serve_resilient(
-            &PoissonArrivals::new(100.0),
-            &Fifo,
-            &RoundRobin,
-            100,
-            1,
-            &LifecycleConfig::new(),
-            &resilience,
-        );
+        let run = Scenario::new(&spec, &PoissonArrivals::new(100.0), 100, 1)
+            .resilience(&resilience)
+            .run();
+        assert_eq!(run, invalid("at most 255 attempts per query"));
     }
 
     #[test]
-    #[should_panic(expected = "resilient runs support at most 4095 stages")]
-    fn serve_resilient_rejects_4096_stages() {
+    fn resilience_rejects_4096_stages() {
         let spec = (0..4096).fold(
             PipelineSpec::new(vec![ReplicaGroup::new("r", 1)]),
             |spec, i| {
@@ -4407,14 +4132,50 @@ mod tests {
                     .unwrap()
             },
         );
-        let _ = spec.serve_resilient(
+        let run = Scenario::new(&spec, &PoissonArrivals::new(100.0), 1, 1)
+            .resilience(&ResilienceConfig::new())
+            .run();
+        assert_eq!(run, invalid("resilient runs support at most 4095 stages"));
+    }
+
+    #[test]
+    fn multipath_rejects_an_empty_path_set() {
+        let paths = PathSet::new(vec![ReplicaGroup::new("r", 1)]);
+        let run = Scenario::multipath(
+            &paths,
+            &crate::AlwaysPrimary,
             &PoissonArrivals::new(100.0),
-            &Fifo,
-            &RoundRobin,
+            100,
             1,
-            1,
-            &LifecycleConfig::new(),
-            &ResilienceConfig::new(),
+        )
+        .run();
+        assert_eq!(run, invalid("path set has no paths"));
+    }
+
+    #[test]
+    fn a_setting_given_twice_is_unsupported() {
+        let spec = replicated(2, 0.004);
+        let arrivals = PoissonArrivals::new(100.0);
+        let cfg = LifecycleConfig::new();
+        let twice = Scenario::new(&spec, &arrivals, 100, 1)
+            .router(&RoundRobin)
+            .router(&JoinShortestQueue)
+            .run();
+        assert_eq!(
+            twice,
+            Err(SimError::Unsupported {
+                reason: "router given twice"
+            })
+        );
+        // The autoscale config already carries a lifecycle config.
+        let autoscale = AutoscaleConfig::new(0, 1, 2, 0.1);
+        let both = Scenario::new(&spec, &arrivals, 100, 1)
+            .lifecycle(&cfg)
+            .autoscale(&autoscale, &mut FixedTarget(2))
+            .run();
+        assert!(
+            matches!(both, Err(SimError::Unsupported { .. })),
+            "{both:?}"
         );
     }
 }

@@ -138,16 +138,10 @@ impl ReplicaGroup {
         }
     }
 
-    /// Appends one replica profile to the fleet.
-    pub fn with_profile(mut self, profile: ReplicaProfile) -> Self {
-        self.profiles.push(profile);
-        self
-    }
-
     /// Attaches a lifecycle schedule: timed provision / drain /
     /// fail-stop / recovery events replayed against this group's
-    /// replicas by [`PipelineSpec::serve_lifecycle`]. Ordinary serve
-    /// entry points ignore the schedule entirely.
+    /// replicas when a [`Scenario`](crate::Scenario) enables a lifecycle
+    /// runtime. Runs without one ignore the schedule entirely.
     ///
     /// Fleet-shape transforms ([`resized`](Self::resized),
     /// [`scaled`](Self::scaled),
@@ -234,8 +228,7 @@ impl ReplicaGroup {
     }
 
     /// Resizes the group to `replicas` copies of its *first* profile —
-    /// the uniform-resize knob behind
-    /// [`PipelineSpec::with_replicas`].
+    /// the uniform-resize knob.
     ///
     /// # Panics
     ///
@@ -671,68 +664,11 @@ impl PipelineSpec {
         self.resources.iter().map(|r| r.replicas()).sum()
     }
 
-    /// Replaces the replica count of resource group `resource` with
-    /// `replicas` copies of its first profile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of range or `replicas == 0`.
-    pub fn with_replicas(mut self, resource: usize, replicas: usize) -> Self {
-        assert!(resource < self.resources.len(), "unknown resource group");
-        let group = self.resources[resource].clone();
-        self.resources[resource] = group.resized(replicas);
-        self
-    }
-
-    /// Replaces the fleet of resource group `resource` with explicit
-    /// per-replica profiles — the heterogeneous form of
-    /// [`with_replicas`](Self::with_replicas).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index is out of range, `profiles` is empty, or any
-    /// existing stage's `units` exceed the new fleet's smallest
-    /// capacity (the bound [`with_stage`](Self::with_stage) enforces).
-    pub fn with_profiles(mut self, resource: usize, profiles: Vec<ReplicaProfile>) -> Self {
-        assert!(resource < self.resources.len(), "unknown resource group");
-        let name = self.resources[resource].name.clone();
-        let group = ReplicaGroup::heterogeneous(name, profiles);
-        for s in &self.stages {
-            if s.resource == resource {
-                assert!(
-                    s.units <= group.capacity(),
-                    "stage {} requests {} units but the new fleet's smallest replica has {}",
-                    s.name,
-                    s.units,
-                    group.capacity()
-                );
-            }
-        }
-        self.resources[resource] = group;
-        self
-    }
-
-    /// Multiplies every resource group's replica count by `factor` —
-    /// how a whole-pipeline backend decomposition (e.g. an accelerator's
-    /// mem + lanes chain spec) is cloned when the backend itself is
-    /// replicated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor == 0`.
-    pub fn scale_replicas(mut self, factor: usize) -> Self {
-        assert!(factor > 0, "replica factor must be positive");
-        for r in &mut self.resources {
-            *r = r.clone().scaled(factor);
-        }
-        self
-    }
-
     /// Expands every resource group into a mixed-generation fleet: one
     /// copy of the group per entry of `speeds`, scaled by that entry —
     /// how a whole-pipeline chain decomposition is cloned across a
-    /// heterogeneous backend fleet. `&[1.0; n]` reproduces
-    /// [`scale_replicas`](Self::scale_replicas)`(n)` exactly.
+    /// heterogeneous backend fleet. `&[1.0; n]` multiplies every
+    /// group's replica count by `n`.
     ///
     /// # Panics
     ///

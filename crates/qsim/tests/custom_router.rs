@@ -7,8 +7,8 @@
 
 use recpipe_data::PoissonArrivals;
 use recpipe_qsim::{
-    BatchModel, BatchWindow, ExpectedWait, Fifo, JoinShortestQueue, PipelineSpec, ReplicaGroup,
-    ReplicaLoads, ReplicaProfile, Router, RouterState, RoutingCtx, SimResult, StageSpec,
+    BatchModel, BatchWindow, ExpectedWait, JoinShortestQueue, PipelineSpec, ReplicaGroup,
+    ReplicaLoads, ReplicaProfile, Router, RouterState, RoutingCtx, Scenario, SimResult, StageSpec,
 };
 
 /// Join the replica with the fewest queued-plus-in-flight queries,
@@ -82,7 +82,11 @@ fn two_generation() -> PipelineSpec {
 
 fn serve(spec: &PipelineSpec, router: &dyn Router, seed: u64) -> SimResult {
     let arrivals = PoissonArrivals::new(0.8 * spec.max_qps_at_full_batch());
-    spec.serve_routed(&arrivals, &BatchWindow::new(0.002), router, 3_000, seed)
+    Scenario::new(spec, &arrivals, 3_000, seed)
+        .policy(&BatchWindow::new(0.002))
+        .router(router)
+        .run()
+        .unwrap()
 }
 
 #[test]
@@ -110,7 +114,13 @@ fn external_expected_wait_router_matches_the_builtin() {
     // The per-query form agrees too.
     let arrivals = PoissonArrivals::new(0.8 * spec.max_qps());
     assert_eq!(
-        spec.serve_routed(&arrivals, &Fifo, &ExpectedWaitClone, 3_000, 5),
-        spec.serve_routed(&arrivals, &Fifo, &ExpectedWait, 3_000, 5),
+        Scenario::new(&spec, &arrivals, 3_000, 5)
+            .router(&ExpectedWaitClone)
+            .run()
+            .unwrap(),
+        Scenario::new(&spec, &arrivals, 3_000, 5)
+            .router(&ExpectedWait)
+            .run()
+            .unwrap(),
     );
 }

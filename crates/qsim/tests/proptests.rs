@@ -10,7 +10,7 @@ use recpipe_qsim::{
     FleetController, HedgePolicy, JoinShortestQueue, LeastWorkLeft, LifecycleConfig,
     LifecycleEvent, LifecycleSchedule, LoadAdaptive, PathSet, PipelineSpec, PowerOfTwoChoices,
     ReplicaGroup, ReplicaProfile, ResilienceConfig, RetryBudget, RetryPolicy, RoundRobin, Router,
-    SchedulingPolicy, StageSpec, Sticky, WindowStats,
+    Scenario, SchedulingPolicy, StageSpec, Sticky, WindowStats,
 };
 
 fn pipeline(servers: usize, stages: Vec<f64>) -> PipelineSpec {
@@ -1536,8 +1536,8 @@ mod reference_pr4 {
 /// the replica-lifecycle + autoscaling subsystem landed (no slot
 /// availability states, no masked routing, no windowed telemetry, no
 /// shed/drop accounting), minus the `simulate`/`serve` convenience
-/// wrappers. The equivalence properties below pin `serve_routed` -- and
-/// `serve_lifecycle` under an empty schedule -- to this loop
+/// wrappers. The equivalence properties below pin the routed run -- with
+/// and without an empty-schedule lifecycle -- to this loop
 /// bit-for-bit across the full router x policy x fleet x batching
 /// matrix.
 mod reference_pr5 {
@@ -2472,7 +2472,10 @@ proptest! {
         );
         let policy = policy_for(policy_idx);
         let arrivals = PoissonArrivals::new(150.0);
-        let out = spec.serve(&arrivals, policy.as_ref(), queries, seed);
+        let out = Scenario::new(&spec, &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .run()
+            .unwrap();
         prop_assert_eq!(out.completed, queries);
         prop_assert!(out.mean_batch >= 1.0 - 1e-12);
         prop_assert!(out.mean_batch <= max_batch as f64 + 1e-12);
@@ -2493,7 +2496,7 @@ proptest! {
         let spec = batched_pipeline(servers, vec![0.004, 0.002], max_batch);
         let policy = policy_for(policy_idx);
         let arrivals = MmppArrivals::new(100.0, 1_000.0, 0.2, 0.1);
-        let out = spec.serve(&arrivals, policy.as_ref(), 800, seed);
+        let out = Scenario::new(&spec, &arrivals, 800, seed).policy(policy.as_ref()).run().unwrap();
         prop_assert_eq!(out.completed, 800);
         for u in &out.utilization {
             prop_assert!((0.0..=1.0).contains(u), "utilization {u}");
@@ -2515,20 +2518,17 @@ proptest! {
         seed in 0u64..300,
     ) {
         // The cluster redesign's compatibility contract: on pipelines
-        // whose groups are all single-replica, `serve_routed` under ANY
+        // whose groups are all single-replica, a routed run under ANY
         // router is bit-identical to the frozen pre-redesign simulator
         // (the router has no choices to make and must not perturb event
         // order, RNG state, or accounting).
         let spec = pipeline(servers, vec![s1 as f64 / 1e3, s2 as f64 / 1e3]);
         let old = reference::simulate(&spec, qps, queries, seed);
         let router = router_for(router_idx);
-        let new = spec.serve_routed(
-            &PoissonArrivals::new(qps),
-            &Fifo,
-            router.as_ref(),
-            queries,
-            seed,
-        );
+        let new = Scenario::new(&spec, &PoissonArrivals::new(qps), queries, seed)
+            .router(router.as_ref())
+            .run()
+            .unwrap();
         prop_assert_eq!(old, new);
     }
 
@@ -2567,8 +2567,11 @@ proptest! {
             queries,
             seed,
         );
-        let optimized =
-            spec.serve_routed(&arrivals, policy.as_ref(), router.as_ref(), queries, seed);
+        let optimized = Scenario::new(&spec, &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .router(router.as_ref())
+            .run()
+            .unwrap();
         prop_assert_eq!(frozen, optimized);
     }
 
@@ -2591,7 +2594,11 @@ proptest! {
         let policy = policy_for(policy_idx);
         let router = router_for(router_idx);
         let arrivals = MmppArrivals::new(100.0, 800.0, 0.2, 0.1);
-        let out = spec.serve_routed(&arrivals, policy.as_ref(), router.as_ref(), queries, seed);
+        let out = Scenario::new(&spec, &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .router(router.as_ref())
+            .run()
+            .unwrap();
         prop_assert_eq!(out.completed, queries);
         prop_assert!(out.mean_batch >= 1.0 - 1e-12);
         prop_assert!(out.mean_batch <= max_batch as f64 + 1e-12);
@@ -2618,8 +2625,8 @@ proptest! {
         let spec = replicated_pipeline(replicas, 1, vec![0.003, 0.006], 4);
         let router = router_for(router_idx);
         let arrivals = PoissonArrivals::new(150.0);
-        let a = spec.serve_routed(&arrivals, &Fifo, router.as_ref(), 500, seed);
-        let b = spec.serve_routed(&arrivals, &Fifo, router.as_ref(), 500, seed);
+        let a = Scenario::new(&spec, &arrivals, 500, seed).router(router.as_ref()).run().unwrap();
+        let b = Scenario::new(&spec, &arrivals, 500, seed).router(router.as_ref()).run().unwrap();
         prop_assert_eq!(a, b);
     }
 
@@ -2663,8 +2670,11 @@ proptest! {
             queries,
             seed,
         );
-        let redesigned =
-            spec.serve_routed(&arrivals, policy.as_ref(), router.as_ref(), queries, seed);
+        let redesigned = Scenario::new(&spec, &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .router(router.as_ref())
+            .run()
+            .unwrap();
         prop_assert_eq!(frozen, redesigned);
     }
 
@@ -2705,7 +2715,11 @@ proptest! {
         let policy = policy_for(policy_idx);
         let router = router_for_v4(router_idx);
         let arrivals = MmppArrivals::new(60.0, 500.0, 0.2, 0.1);
-        let out = spec.serve_routed(&arrivals, policy.as_ref(), router.as_ref(), queries, seed);
+        let out = Scenario::new(&spec, &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .router(router.as_ref())
+            .run()
+            .unwrap();
         prop_assert_eq!(out.completed, queries);
         prop_assert!(out.mean_batch >= 1.0 - 1e-12);
         prop_assert!(out.mean_batch <= max_batch as f64 + 1e-12);
@@ -2720,7 +2734,11 @@ proptest! {
             }
         }
         // Heterogeneous routing is reproducible like everything else.
-        let again = spec.serve_routed(&arrivals, policy.as_ref(), router.as_ref(), queries, seed);
+        let again = Scenario::new(&spec, &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .router(router.as_ref())
+            .run()
+            .unwrap();
         prop_assert_eq!(out, again);
     }
 
@@ -2732,7 +2750,7 @@ proptest! {
     ) {
         let spec = pipeline(servers, vec![0.005]);
         let arrivals = ClosedLoopArrivals::new(clients, 0.01);
-        let out = spec.serve(&arrivals, &Fifo, 400, seed);
+        let out = Scenario::new(&spec, &arrivals, 400, seed).run().unwrap();
         prop_assert_eq!(out.completed, 400);
         // At most `clients` queries are ever in flight, so the worst
         // wait is bounded by the population draining through servers.
@@ -2762,8 +2780,8 @@ proptest! {
     ) {
         // The lifecycle subsystem (slot availability states, masked
         // routing, windowed telemetry, shed/drop accounting) must be
-        // invisible when no lifecycle events exist: `serve_routed` and
-        // `serve_lifecycle` with an empty schedule both reproduce the
+        // invisible when no lifecycle events exist: the routed run with
+        // and without an empty-schedule lifecycle both reproduce the
         // frozen PR-5 loop bit-for-bit across the full router x policy
         // x fleet x batching matrix, heterogeneous fleets included.
         let mut profiles = vec![ReplicaProfile::baseline(capacity); fast];
@@ -2783,7 +2801,11 @@ proptest! {
         let policy = policy_for(policy_idx);
         let router = router_for_v4(router_idx);
         let arrivals = MmppArrivals::new(100.0, 800.0, 0.2, 0.1);
-        let routed = spec.serve_routed(&arrivals, policy.as_ref(), router.as_ref(), queries, seed);
+        let routed = Scenario::new(&spec, &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .router(router.as_ref())
+            .run()
+            .unwrap();
         // ExpectedWait intentionally left the frozen behavior in PR-7:
         // its in-flight term now decays as service elapses instead of
         // booking the full batch cost until completion, so the frozen
@@ -2800,15 +2822,11 @@ proptest! {
             );
             prop_assert_eq!(&frozen, &routed);
         }
-        let lifecycle = spec
-            .serve_lifecycle(
-                &arrivals,
-                policy.as_ref(),
-                router.as_ref(),
-                queries,
-                seed,
-                &LifecycleConfig::new(),
-            )
+        let lifecycle = Scenario::new(&spec, &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .router(router.as_ref())
+            .lifecycle(&LifecycleConfig::new())
+            .run()
             .unwrap();
         prop_assert_eq!(&routed, &lifecycle);
     }
@@ -2860,8 +2878,11 @@ proptest! {
         } else {
             LifecycleConfig::new()
         };
-        let out = spec
-            .serve_lifecycle(&arrivals, policy.as_ref(), router.as_ref(), queries, seed, &cfg)
+        let out = Scenario::new(&spec, &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .router(router.as_ref())
+            .lifecycle(&cfg)
+            .run()
             .unwrap();
         prop_assert_eq!(out.completed + out.shed + out.dropped, queries);
         if !shed_policy {
@@ -2869,8 +2890,11 @@ proptest! {
             prop_assert_eq!(out.shed + out.dropped, 0);
         }
         // Failure replay is reproducible like everything else.
-        let again = spec
-            .serve_lifecycle(&arrivals, policy.as_ref(), router.as_ref(), queries, seed, &cfg)
+        let again = Scenario::new(&spec, &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .router(router.as_ref())
+            .lifecycle(&cfg)
+            .run()
             .unwrap();
         prop_assert_eq!(out, again);
     }
@@ -2948,15 +2972,18 @@ proptest! {
     ) {
         // The per-stage shard decomposition must be invisible: on a
         // shardable spec the sequential (workers = 1) and threaded
-        // executors both reproduce `serve_routed` bit-for-bit across
+        // executors both reproduce the serial loop bit-for-bit across
         // the router x policy x fleet x batching matrix. The worker
         // count is a wall-clock knob, never a results knob.
         let spec = two_backend_pipeline(fast, slow, speed_pct, capacity, replicas2, max_batch);
         let policy = policy_sync(policy_idx);
         let router = router_sync(router_idx);
         let arrivals = MmppArrivals::new(100.0, 800.0, 0.2, 0.1);
-        let serial =
-            spec.serve_routed(&arrivals, policy.as_ref(), router.as_ref(), queries, seed);
+        let serial = Scenario::new(&spec, &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .router(router.as_ref())
+            .run()
+            .unwrap();
         for workers in [1usize, 2, 0] {
             let sharded = spec.serve_routed_sharded(
                 &arrivals,
@@ -2990,7 +3017,11 @@ proptest! {
         let (serial, sharded) = if closed {
             let arrivals = ClosedLoopArrivals::new(8, 0.01);
             (
-                spec.serve_routed(&arrivals, policy.as_ref(), router.as_ref(), queries, seed),
+                Scenario::new(&spec, &arrivals, queries, seed)
+                    .policy(policy.as_ref())
+                    .router(router.as_ref())
+                    .run()
+                    .unwrap(),
                 spec.serve_routed_sharded(
                     &arrivals, policy.as_ref(), router.as_ref(), queries, seed, 0,
                 ),
@@ -2998,7 +3029,11 @@ proptest! {
         } else {
             let arrivals = MmppArrivals::new(100.0, 800.0, 0.2, 0.1);
             (
-                spec.serve_routed(&arrivals, policy.as_ref(), router.as_ref(), queries, seed),
+                Scenario::new(&spec, &arrivals, queries, seed)
+                    .policy(policy.as_ref())
+                    .router(router.as_ref())
+                    .run()
+                    .unwrap(),
                 spec.serve_routed_sharded(
                     &arrivals, policy.as_ref(), router.as_ref(), queries, seed, 0,
                 ),
@@ -3033,7 +3068,10 @@ fn decay_aware_expected_wait_never_worsens_the_two_generation_tail() {
     let arrivals = PoissonArrivals::new(0.9 * spec.max_qps_at_full_batch());
     let mut frozen_worse = 0usize;
     for seed in [7u64, 11, 23, 42, 101] {
-        let mut decayed = spec.serve_routed(&arrivals, &Fifo, &ExpectedWait, 4_000, seed);
+        let mut decayed = Scenario::new(&spec, &arrivals, 4_000, seed)
+            .router(&ExpectedWait)
+            .run()
+            .unwrap();
         let mut frozen =
             reference_pr5::serve_routed(&spec, &arrivals, &Fifo, &ExpectedWait, 4_000, seed);
         assert!(
@@ -3121,7 +3159,11 @@ proptest! {
         let policy = policy_for(policy_idx);
         let router = router_for_v4(router_idx);
         let arrivals = MmppArrivals::new(100.0, 800.0, 0.2, 0.1);
-        let routed = spec.serve_routed(&arrivals, policy.as_ref(), router.as_ref(), queries, seed);
+        let routed = Scenario::new(&spec, &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .router(router.as_ref())
+            .run()
+            .unwrap();
         let paths = PathSet::single(spec, quality);
         let mut multi = serve_multipath(
             &paths,
@@ -3306,7 +3348,11 @@ proptest! {
         let policy = policy_for(policy_idx);
         let router = router_for_v4(router_idx);
         let arrivals = MmppArrivals::new(100.0, 800.0, 0.2, 0.1);
-        let routed = spec.serve_routed(&arrivals, policy.as_ref(), router.as_ref(), queries, seed);
+        let routed = Scenario::new(&spec, &arrivals, queries, seed)
+            .policy(policy.as_ref())
+            .router(router.as_ref())
+            .run()
+            .unwrap();
         let mut resilient = spec
             .serve_resilient(
                 &arrivals,
@@ -3427,7 +3473,7 @@ impl FleetController for PressureController {
 
 proptest! {
     #[test]
-    fn serve_autoscaled_conserves_queries_and_replays(
+    fn autoscale_conserves_queries_and_replays(
         replicas in 2usize..5,
         capacity in 1usize..3,
         max_batch in 1usize..4,
@@ -3451,15 +3497,11 @@ proptest! {
         let cfg = AutoscaleConfig::new(0, 1, replicas, window_cs as f64 / 100.0)
             .with_initial_replicas(initial);
         let run = || {
-            spec.serve_autoscaled(
-                &arrivals,
-                policy.as_ref(),
-                router.as_ref(),
-                queries,
-                seed,
-                &cfg,
-                &mut PressureController { lo: 1, hi: replicas },
-            )
+            Scenario::new(&spec, &arrivals, queries, seed)
+                .policy(policy.as_ref())
+                .router(router.as_ref())
+                .autoscale(&cfg, &mut PressureController { lo: 1, hi: replicas })
+                .run()
             .unwrap()
         };
         let out = run();

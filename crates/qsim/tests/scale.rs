@@ -12,7 +12,7 @@
 use recpipe_data::TraceArrivals;
 use recpipe_qsim::{
     BatchModel, ExpectedWait, Fifo, PipelineSpec, ReplicaGroup, ReplicaProfile, RoundRobin,
-    StageSpec,
+    Scenario, StageSpec,
 };
 
 /// A deterministic synthetic "recorded" trace: `n` arrivals with
@@ -97,10 +97,13 @@ fn scale_2m_sharded_matches_serial_above_every_threshold() {
     let n = 2 * (1 << 20);
     for workers in [1usize, 0] {
         let rr = spec.serve_routed_sharded(&trace, &Fifo, &RoundRobin, n, 3, workers);
-        let rr_serial = spec.serve_routed(&trace, &Fifo, &RoundRobin, n, 3);
+        let rr_serial = Scenario::new(&spec, &trace, n, 3).run().unwrap();
         assert_eq!(rr_serial, rr, "RoundRobin, workers = {workers}");
         let ew = spec.serve_routed_sharded(&trace, &Fifo, &ExpectedWait, n, 3, workers);
-        let ew_serial = spec.serve_routed(&trace, &Fifo, &ExpectedWait, n, 3);
+        let ew_serial = Scenario::new(&spec, &trace, n, 3)
+            .router(&ExpectedWait)
+            .run()
+            .unwrap();
         assert_eq!(ew_serial, ew, "ExpectedWait, workers = {workers}");
     }
 }

@@ -25,7 +25,7 @@ use recpipe::data::{
     ArrivalProcess, ClosedLoopArrivals, DiurnalArrivals, MmppArrivals, PoissonArrivals,
 };
 use recpipe::models::ModelKind;
-use recpipe::qsim::{BatchWindow, EarliestDeadlineFirst, Fifo, SchedulingPolicy};
+use recpipe::qsim::{BatchWindow, EarliestDeadlineFirst, Fifo, Scenario, SchedulingPolicy};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pipeline = PipelineConfig::builder()
@@ -74,10 +74,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ]);
     for arrival in &arrivals {
         for policy in &policies {
-            let mut result =
-                engine
-                    .spec()
-                    .serve(arrival.as_ref(), policy.as_ref(), 20_000, engine.seed());
+            let mut result = Scenario::new(engine.spec(), arrival.as_ref(), 20_000, engine.seed())
+                .policy(policy.as_ref())
+                .run()?;
             table.row(vec![
                 arrival.name(),
                 policy.name(),

@@ -21,8 +21,9 @@
 //! [`data::ArrivalProcess`], scheduling policies (FIFO, batch-window,
 //! earliest-deadline-first) behind [`qsim::SchedulingPolicy`], and
 //! every backend supplies a real batch-scaling curve — drive them
-//! together through the `PipelineSpec` run methods on `Engine::spec`
-//! (`serve`, `serve_routed`, `serve_resilient`, ...). Design-space
+//! together through one [`qsim::Scenario`] over `Engine::spec`, which
+//! also switches on routing, lifecycle, autoscaling, resilience and
+//! sharding. Design-space
 //! sweeps fan out across a deterministic worker pool
 //! (`core::parallel_map`).
 //!

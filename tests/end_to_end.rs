@@ -6,6 +6,7 @@ use recpipe::accel::Partition;
 use recpipe::core::{Engine, PipelineConfig, Placement, Scheduler, SchedulerSettings, StageConfig};
 use recpipe::data::DatasetKind;
 use recpipe::models::ModelKind;
+use recpipe::qsim::Scenario;
 
 fn single_stage(items: u64) -> PipelineConfig {
     PipelineConfig::single_stage(ModelKind::RmLarge, items, 64).unwrap()
@@ -201,9 +202,10 @@ fn serving_core_matrix_end_to_end() {
     ];
     for arrival in &arrivals {
         for policy in &policies {
-            let out = engine
-                .spec()
-                .serve(arrival.as_ref(), policy.as_ref(), 3_000, engine.seed());
+            let out = Scenario::new(engine.spec(), arrival.as_ref(), 3_000, engine.seed())
+                .policy(policy.as_ref())
+                .run()
+                .unwrap();
             assert_eq!(out.completed, 3_000, "{}/{}", arrival.name(), policy.name());
             assert!(out.mean_batch >= 1.0);
             for u in &out.utilization {
@@ -220,7 +222,7 @@ fn cluster_of_replicas_end_to_end() {
     // engine, and load-aware routing beats oblivious round-robin at
     // high utilization.
     use recpipe::data::PoissonArrivals;
-    use recpipe::qsim::{Fifo, JoinShortestQueue, RoundRobin};
+    use recpipe::qsim::JoinShortestQueue;
 
     let single = Engine::commodity(two_stage(256))
         .placement(Placement::gpu_only(2))
@@ -240,8 +242,13 @@ fn cluster_of_replicas_end_to_end() {
     assert_eq!(fleet.placement().replicas_for(1), 4);
     let arrivals = PoissonArrivals::new(overload);
     let spec = fleet.spec();
-    let rr = spec.serve_routed(&arrivals, &Fifo, &RoundRobin, 6_000, fleet.seed());
-    let jsq = spec.serve_routed(&arrivals, &Fifo, &JoinShortestQueue, 6_000, fleet.seed());
+    let rr = Scenario::new(spec, &arrivals, 6_000, fleet.seed())
+        .run()
+        .unwrap();
+    let jsq = Scenario::new(spec, &arrivals, 6_000, fleet.seed())
+        .router(&JoinShortestQueue)
+        .run()
+        .unwrap();
     assert!(!rr.saturated && !jsq.saturated);
     assert_eq!(rr.completed, 6_000);
     assert_eq!(jsq.completed, 6_000);
@@ -256,7 +263,7 @@ fn heterogeneous_fleet_end_to_end() {
     // capacity and cost, and serves with speed-aware routing.
     use recpipe::core::FleetSpec;
     use recpipe::data::PoissonArrivals;
-    use recpipe::qsim::{ExpectedWait, Fifo, JoinShortestQueue};
+    use recpipe::qsim::{ExpectedWait, JoinShortestQueue};
 
     let uniform = Engine::commodity(two_stage(256))
         .placement(Placement::gpu_only(2))
@@ -291,9 +298,10 @@ fn heterogeneous_fleet_end_to_end() {
         &JoinShortestQueue as &dyn recpipe::qsim::Router,
         &ExpectedWait,
     ] {
-        let out = mixed
-            .spec()
-            .serve_routed(&arrivals, &Fifo, router, 6_000, mixed.seed());
+        let out = Scenario::new(mixed.spec(), &arrivals, 6_000, mixed.seed())
+            .router(router)
+            .run()
+            .unwrap();
         assert_eq!(out.completed, 6_000);
         assert!(!out.saturated);
         assert_eq!(out.replica_utilization[1].len(), 4);
@@ -309,7 +317,6 @@ fn trace_replay_end_to_end_reproduces_recorded_poisson_traffic() {
     // hands it to the arrival process — the recording must use the
     // same one.
     use recpipe::data::{ArrivalProcess, PoissonArrivals, TraceArrivals};
-    use recpipe::qsim::Fifo;
 
     let seed = 42;
     let engine = Engine::commodity(two_stage(256))
@@ -320,8 +327,12 @@ fn trace_replay_end_to_end_reproduces_recorded_poisson_traffic() {
         .unwrap();
     let poisson = PoissonArrivals::new(300.0);
     let recorded = TraceArrivals::new(poisson.times(1_500, seed));
-    let live = engine.spec().serve(&poisson, &Fifo, 1_500, seed);
-    let replayed = engine.spec().serve(&recorded, &Fifo, 1_500, seed);
+    let live = Scenario::new(engine.spec(), &poisson, 1_500, seed)
+        .run()
+        .unwrap();
+    let replayed = Scenario::new(engine.spec(), &recorded, 1_500, seed)
+        .run()
+        .unwrap();
     assert_eq!(live.latency, replayed.latency);
     assert_eq!(live.qps, replayed.qps);
     assert_eq!(live.completed, replayed.completed);
@@ -330,14 +341,15 @@ fn trace_replay_end_to_end_reproduces_recorded_poisson_traffic() {
 #[test]
 fn closed_loop_serving_end_to_end_obeys_littles_law() {
     use recpipe::data::ClosedLoopArrivals;
-    use recpipe::qsim::Fifo;
 
     let engine = cpu_engine(two_stage(256), 300.0);
     let floor = engine.service_floor();
     let think = 0.05;
     let clients = 16;
     let closed = ClosedLoopArrivals::new(clients, think);
-    let out = engine.spec().serve(&closed, &Fifo, 2_000, engine.seed());
+    let out = Scenario::new(engine.spec(), &closed, 2_000, engine.seed())
+        .run()
+        .unwrap();
     assert_eq!(out.completed, 2_000);
     // X = N / (R + Z); response time is at least the service floor, so
     // throughput is bounded above — and with 64 idle cores the floor is

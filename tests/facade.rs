@@ -52,17 +52,15 @@ fn arrival_processes_through_facade() {
 #[test]
 fn batched_serving_through_facade() {
     use recpipe::data::MmppArrivals;
-    use recpipe::qsim::{BatchModel, BatchWindow};
+    use recpipe::qsim::{BatchModel, BatchWindow, Scenario};
 
     let spec = PipelineSpec::new(vec![ReplicaGroup::new("gpu", 1)])
         .with_stage(StageSpec::new("rank", 0, 1, 0.004).with_batch(BatchModel::new(8, 0.2)))
         .unwrap();
-    let out = spec.serve(
-        &MmppArrivals::new(80.0, 600.0, 0.3, 0.1),
-        &BatchWindow::new(0.002),
-        1_000,
-        3,
-    );
+    let out = Scenario::new(&spec, &MmppArrivals::new(80.0, 600.0, 0.3, 0.1), 1_000, 3)
+        .policy(&BatchWindow::new(0.002))
+        .run()
+        .unwrap();
     assert_eq!(out.completed, 1_000);
     assert!(out.mean_batch >= 1.0);
 }
@@ -71,7 +69,7 @@ fn batched_serving_through_facade() {
 fn cluster_routing_through_facade() {
     use recpipe::data::PoissonArrivals;
     use recpipe::qsim::{
-        Fifo, JoinShortestQueue, PowerOfTwoChoices, ReplicaGroup, RoundRobin, Router,
+        JoinShortestQueue, PowerOfTwoChoices, ReplicaGroup, RoundRobin, Router, Scenario,
     };
 
     let spec = PipelineSpec::new(vec![ReplicaGroup::replicated("worker", 2, 3)])
@@ -84,7 +82,10 @@ fn cluster_routing_through_facade() {
         Box::new(PowerOfTwoChoices),
     ];
     for router in &routers {
-        let out = spec.serve_routed(&PoissonArrivals::new(400.0), &Fifo, router.as_ref(), 800, 1);
+        let out = Scenario::new(&spec, &PoissonArrivals::new(400.0), 800, 1)
+            .router(router.as_ref())
+            .run()
+            .unwrap();
         assert_eq!(out.completed, 800, "{}", router.name());
         assert_eq!(out.replica_utilization[0].len(), 3);
     }
@@ -95,7 +96,7 @@ fn heterogeneous_fleet_through_facade() {
     use recpipe::core::FleetSpec;
     use recpipe::data::PoissonArrivals;
     use recpipe::qsim::{
-        ExpectedWait, Fifo, ReplicaGroup, ReplicaProfile, Router, RoutingCtx, Sticky,
+        ExpectedWait, ReplicaGroup, ReplicaProfile, Router, RoutingCtx, Scenario, Sticky,
     };
 
     // qsim-level: a two-generation group with speed-weighted capacity.
@@ -111,13 +112,10 @@ fn heterogeneous_fleet_through_facade() {
         .unwrap();
     let routers: Vec<Box<dyn Router>> = vec![Box::new(ExpectedWait), Box::new(Sticky::new())];
     for router in &routers {
-        let out = spec.serve_routed(
-            &PoissonArrivals::new(0.7 * spec.max_qps()),
-            &Fifo,
-            router.as_ref(),
-            800,
-            1,
-        );
+        let out = Scenario::new(&spec, &PoissonArrivals::new(0.7 * spec.max_qps()), 800, 1)
+            .router(router.as_ref())
+            .run()
+            .unwrap();
         assert_eq!(out.completed, 800, "{}", router.name());
     }
     assert_eq!(RoutingCtx::root(0, 0, 0).prior_on_group(), None);
