@@ -129,9 +129,6 @@ pub struct Config {
     /// Path prefix holding the frozen-reference/conservation tests
     /// that must name every public serving entry point.
     pub serve_tests: String,
-    /// Self type whose public methods are serving entry points (each
-    /// must be called by a test under `serve_tests`).
-    pub serve_type: String,
     /// Per-rule severity overrides, checked before [`RULES`] defaults.
     pub severity_overrides: Vec<(String, Severity)>,
 }
@@ -163,7 +160,6 @@ impl Default for Config {
             ctor_paths: vec!["crates/qsim/src/".into()],
             serve_src: "crates/qsim/src/".into(),
             serve_tests: "crates/qsim/tests/".into(),
-            serve_type: "Scenario".into(),
             severity_overrides: Vec::new(),
         }
     }
@@ -830,16 +826,33 @@ fn ctor_validate(ctx: &mut Ctx<'_>) {
 // serve-coverage
 // ---------------------------------------------------------------------------
 
+/// Self type whose public functions are serving entry points.
+const SERVE_TYPE: &str = "Scenario";
+
+/// How a test must name a serving entry point to pin it.
+#[derive(Clone, Copy, PartialEq)]
+enum Pin {
+    /// A `pub fn serve*` adapter: named anywhere as a word.
+    Word,
+    /// A [`SERVE_TYPE`] method taking `self`: called as `.name(` or
+    /// `::name(`. The receiver's type is not resolved, so any call of
+    /// a method with that name counts.
+    Method,
+    /// A [`SERVE_TYPE`] associated function without `self`: called as
+    /// `Scenario::name(`.
+    Associated,
+}
+
 /// Cross-file rule: every public serving entry point must be named by
 /// at least one test under the configured tests tree — the repo's
 /// frozen-reference/conservation discipline, enforced mechanically.
-/// Entry points are the public methods of the [`Config::serve_type`]
-/// (`Scenario`), which a test must *call* (`.name(` or `::name(`), and
-/// every `pub fn serve*` adapter in the serving crate, which a test must
-/// name. Adding an entry point without pinning it fails the build.
+/// Entry points are the public functions of [`SERVE_TYPE`], which a
+/// test must *call* (see [`Pin`]), and every `pub fn serve*` adapter in
+/// the serving crate, which a test must name. Adding an entry point
+/// without pinning it fails the build.
 fn serve_coverage(files: &[ScannedFile], cfg: &Config, out: &mut Vec<Finding>) {
-    // (name, is a serve_type method, file idx, line idx)
-    let mut entry_points: Vec<(String, bool, usize, usize)> = Vec::new();
+    // (name, how a test pins it, file idx, line idx)
+    let mut entry_points: Vec<(String, Pin, usize, usize)> = Vec::new();
     for (fi, f) in files.iter().enumerate() {
         if !f.path.starts_with(&cfg.serve_src) {
             continue;
@@ -855,12 +868,18 @@ fn serve_coverage(files: &[ScannedFile], cfg: &Config, out: &mut Vec<Finding>) {
                 .find(|c: char| !(c.is_alphanumeric() || c == '_'))
                 .unwrap_or(rest.len());
             let name = &rest[..name_end];
-            let method = line.impl_name == cfg.serve_type;
+            let pin = if line.impl_name != SERVE_TYPE {
+                Pin::Word
+            } else if takes_self(f, idx, &rest[name_end..]) {
+                Pin::Method
+            } else {
+                Pin::Associated
+            };
             let known = entry_points
                 .iter()
-                .any(|(n, m, _, _)| n == name && *m == method);
-            if (method || name.starts_with("serve")) && !known {
-                entry_points.push((name.to_string(), method, fi, idx));
+                .any(|(n, p, _, _)| n == name && *p == pin);
+            if (pin != Pin::Word || name.starts_with("serve")) && !known {
+                entry_points.push((name.to_string(), pin, fi, idx));
             }
         }
     }
@@ -868,25 +887,22 @@ fn serve_coverage(files: &[ScannedFile], cfg: &Config, out: &mut Vec<Finding>) {
         .iter()
         .filter(|f| f.path.starts_with(&cfg.serve_tests))
         .collect();
-    for (name, method, fi, idx) in entry_points {
+    for (name, pin, fi, idx) in entry_points {
         let file = &files[fi];
         if file.allowed(idx, "serve-coverage") {
             continue;
         }
         let covered = tests.iter().any(|f| {
-            f.lines.iter().any(|l| {
-                if method {
-                    calls(&l.code, &name)
-                } else {
-                    find_word(&l.code, &name).is_some()
-                }
+            f.lines.iter().any(|l| match pin {
+                Pin::Word => find_word(&l.code, &name).is_some(),
+                Pin::Method => calls(&l.code, &name, false),
+                Pin::Associated => calls(&l.code, &name, true),
             })
         });
         if !covered {
-            let shown = if method {
-                format!("{}::{name}", cfg.serve_type)
-            } else {
-                name
+            let shown = match pin {
+                Pin::Word => name,
+                Pin::Method | Pin::Associated => format!("{SERVE_TYPE}::{name}"),
             };
             out.push(Finding {
                 rule: "serve-coverage",
@@ -903,14 +919,38 @@ fn serve_coverage(files: &[ScannedFile], cfg: &Config, out: &mut Vec<Finding>) {
     }
 }
 
-/// Whether `code` calls a method or associated function `name`
-/// (`.name(` or `::name(`).
-fn calls(code: &str, name: &str) -> bool {
+/// Whether the function declared at `f.lines[idx]`, whose text after
+/// the name is `sig`, takes `self` as its first parameter (read from
+/// the next line when the parameter list breaks after `(`).
+fn takes_self(f: &ScannedFile, idx: usize, sig: &str) -> bool {
+    let Some(open) = sig.find('(') else {
+        return false;
+    };
+    let mut params = sig[open + 1..].trim();
+    if params.is_empty() {
+        params = f.lines.get(idx + 1).map_or("", |l| l.code.trim());
+    }
+    let first = params.split([',', ')']).next().unwrap_or("");
+    find_word(first, "self").is_some()
+}
+
+/// Whether `code` calls `name`: as a method or through any path
+/// (`.name(` or `::name(`), or, when `qualified`, only as
+/// `Scenario::name(`.
+fn calls(code: &str, name: &str, qualified: bool) -> bool {
     let mut from = 0;
     while let Some(at) = find_word(&code[from..], name).map(|a| a + from) {
         let before = &code[..at];
         let after = code[at + name.len()..].trim_start();
-        if (before.ends_with('.') || before.ends_with("::")) && after.starts_with('(') {
+        let receiver = if qualified {
+            before
+                .strip_suffix("::")
+                .and_then(|b| b.strip_suffix(SERVE_TYPE))
+                .is_some_and(|b| !b.ends_with(|c: char| c.is_alphanumeric() || c == '_'))
+        } else {
+            before.ends_with('.') || before.ends_with("::")
+        };
+        if receiver && after.starts_with('(') {
             return true;
         }
         from = at + name.len();

@@ -3,7 +3,9 @@
 // (the rule's positive case); `serve_waved` carries an allow. Of the
 // `Scenario` methods, `pinned_knob` is called by the test fixture,
 // `orphan_knob` only appears there in a comment and as a bare word,
-// and the private helper is not an entry point.
+// and the private helper is not an entry point. The associated `new`
+// (no `self`, parameters on the next line) is called there only as
+// `Other::new(`, which must not pin `Scenario::new`.
 
 pub fn serve_pinned(queries: usize, seed: u64) -> usize {
     queries.wrapping_add(seed as usize)
@@ -23,6 +25,12 @@ pub struct Scenario<'a> {
 }
 
 impl<'a> Scenario<'a> {
+    pub fn new(
+        queries: &'a usize,
+    ) -> Self {
+        Self { queries }
+    }
+
     pub fn pinned_knob(self) -> Self {
         self
     }

@@ -141,21 +141,23 @@ fn serve_coverage_fails_the_build_for_unpinned_entry_points() {
     ]);
     let hits = by_rule(&r, "serve-coverage");
     // `serve_pinned` is named by the test file, `serve_waved` carries
-    // an allow, and `Scenario::pinned_knob` is called; `serve_orphan`
-    // and the merely mentioned `Scenario::orphan_knob` fail — and they
-    // fail the build. The private helper is not an entry point.
-    assert_eq!(hits.len(), 2, "findings: {:?}", r.findings);
+    // an allow, and `Scenario::pinned_knob` is called; `serve_orphan`,
+    // the merely mentioned `Scenario::orphan_knob` and `Scenario::new`,
+    // called only as `Other::new(` and `MyScenario::new(`, fail — and
+    // they fail the build. The private helper is not an entry point.
+    assert_eq!(hits.len(), 3, "findings: {:?}", r.findings);
     assert!(hits.iter().any(|f| f.message.contains("`serve_orphan`")));
     assert!(hits
         .iter()
         .any(|f| f.message.contains("`Scenario::orphan_knob`")));
+    assert!(hits.iter().any(|f| f.message.contains("`Scenario::new`")));
     assert!(r.has_denies());
 }
 
 #[test]
 fn serve_coverage_passes_once_every_entry_point_is_pinned() {
     let pinned_tests = format!(
-        "{SERVE_TESTS}\nfn also() {{ serve_orphan(1, 2); Scenario {{ queries: &1 }}.orphan_knob(); }}\n"
+        "{SERVE_TESTS}\nfn also() {{ serve_orphan(1, 2); Scenario::new(&1).orphan_knob(); }}\n"
     );
     let r = report(&[
         ("crates/qsim/src/serving.rs", SERVE_SRC),

@@ -60,12 +60,9 @@ pub(crate) struct Workload<'a> {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct Scenario<'a> {
-    spec: &'a PipelineSpec,
-    arrivals: &'a dyn ArrivalProcess,
-    num_queries: usize,
-    seed: u64,
-    policy: Option<&'a dyn SchedulingPolicy>,
-    router: Option<&'a dyn Router>,
+    w: Workload<'a>,
+    policy_set: bool,
+    router_set: bool,
     paths: Option<(&'a PathSet, &'a dyn AdmissionPolicy)>,
     lifecycle: Option<&'a LifecycleConfig>,
     autoscale: Option<(&'a AutoscaleConfig, &'a mut dyn FleetController)>,
@@ -88,12 +85,16 @@ impl<'a> Scenario<'a> {
         seed: u64,
     ) -> Self {
         Self {
-            spec,
-            arrivals,
-            num_queries,
-            seed,
-            policy: None,
-            router: None,
+            w: Workload {
+                spec,
+                arrivals,
+                policy: &Fifo,
+                router: &RoundRobin,
+                num_queries,
+                seed,
+            },
+            policy_set: false,
+            router_set: false,
             paths: None,
             lifecycle: None,
             autoscale: None,
@@ -129,8 +130,9 @@ impl<'a> Scenario<'a> {
     /// Schedules batches within each replica's private queue (default
     /// [`Fifo`]).
     pub fn policy(mut self, policy: &'a dyn SchedulingPolicy) -> Self {
-        self.note_repeat(self.policy.is_some(), "policy given twice");
-        self.policy = Some(policy);
+        self.note_repeat(self.policy_set, "policy given twice");
+        self.policy_set = true;
+        self.w.policy = policy;
         self
     }
 
@@ -138,8 +140,9 @@ impl<'a> Scenario<'a> {
     /// [`RoundRobin`]). On single-replica groups every router gives the
     /// same result.
     pub fn router(mut self, router: &'a dyn Router) -> Self {
-        self.note_repeat(self.router.is_some(), "router given twice");
-        self.router = Some(router);
+        self.note_repeat(self.router_set, "router given twice");
+        self.router_set = true;
+        self.w.router = router;
         self
     }
 
@@ -244,15 +247,15 @@ impl<'a> Scenario<'a> {
         if self.paths.is_some_and(|(p, _)| p.num_paths() == 0) {
             return invalid("path set has no paths".into());
         }
-        let stages = self.spec.stages().len();
+        let stages = self.w.spec.stages().len();
         if stages == 0 {
             return invalid("pipeline has no stages".into());
         }
-        if self.num_queries == 0 {
+        if self.w.num_queries == 0 {
             return invalid("need at least one query".into());
         }
         if let Some((cfg, _)) = &self.autoscale {
-            let groups = self.spec.resources();
+            let groups = self.w.spec.resources();
             if cfg.group >= groups.len() {
                 return invalid(format!("autoscale group {} does not exist", cfg.group));
             }
@@ -287,15 +290,8 @@ impl<'a> Scenario<'a> {
     /// controller may yet provision).
     pub fn run(self) -> Result<SimResult, SimError> {
         self.check()?;
-        let w = Workload {
-            spec: self.spec,
-            arrivals: self.arrivals,
-            policy: self.policy.unwrap_or(&Fifo),
-            router: self.router.unwrap_or(&RoundRobin),
-            num_queries: self.num_queries,
-            seed: self.seed,
-        };
         let Scenario {
+            w,
             paths,
             lifecycle,
             autoscale,
